@@ -6,6 +6,21 @@
 
 namespace osap {
 
+namespace {
+
+/// "[label] message", built by appending to one buffer. The chained
+/// `"[" + label + "] " + message` form, once inlined into run()/sweep(),
+/// trips GCC 12's -Wrestrict false positive in Release builds.
+std::string labelled(const InvariantAuditor& auditor, const std::string& message) {
+  std::string out = "[";
+  out += auditor.audit_label();
+  out += "] ";
+  out += message;
+  return out;
+}
+
+}  // namespace
+
 void AuditRegistry::add(InvariantAuditor* auditor) {
   if (auditor == nullptr) return;
   if (std::find(auditors_.begin(), auditors_.end(), auditor) != auditors_.end()) return;
@@ -27,9 +42,7 @@ void AuditRegistry::run(std::vector<std::string>& violations) const {
   for (const InvariantAuditor* auditor : auditors_) {
     std::vector<std::string> found;
     auditor->audit(found);
-    for (std::string& message : found) {
-      violations.push_back("[" + auditor->audit_label() + "] " + std::move(message));
-    }
+    for (const std::string& message : found) violations.push_back(labelled(*auditor, message));
   }
 }
 
@@ -52,9 +65,7 @@ AuditRegistry::SweepStats AuditRegistry::sweep(std::vector<std::string>& violati
       if (auditor->audit_supports_dirty()) auditor->clear_audit_dirty();
       continue;
     }
-    for (std::string& message : found) {
-      violations.push_back("[" + auditor->audit_label() + "] " + std::move(message));
-    }
+    for (const std::string& message : found) violations.push_back(labelled(*auditor, message));
   }
   return stats;
 }

@@ -41,6 +41,18 @@ void sort_axis_values(std::vector<std::string>& values) {
   }
 }
 
+/// Cells sorted by descriptor index. Floating-point sums depend on the
+/// order of addition, so means accumulate in this order and never in the
+/// pool's completion order.
+std::vector<const CellResult*> in_descriptor_order(const std::vector<CellResult>& cells) {
+  std::vector<const CellResult*> ordered;
+  ordered.reserve(cells.size());
+  for (const CellResult& cell : cells) ordered.push_back(&cell);
+  std::sort(ordered.begin(), ordered.end(),
+            [](const CellResult* a, const CellResult* b) { return a->index < b->index; });
+  return ordered;
+}
+
 }  // namespace
 
 std::vector<GroupStats> group_stats(const std::vector<core::RunDescriptor>& descriptors,
@@ -52,15 +64,15 @@ std::vector<GroupStats> group_stats(const std::vector<core::RunDescriptor>& desc
     int failed = 0;
   };
   std::map<std::string, Acc> by_key;
-  for (const CellResult& cell : cells) {
-    Acc& acc = by_key[cell_key(descriptors[cell.index])];
-    if (!cell.ok) {
+  for (const CellResult* cell : in_descriptor_order(cells)) {
+    Acc& acc = by_key[cell_key(descriptors[cell->index])];
+    if (!cell->ok) {
       ++acc.failed;
       continue;
     }
-    acc.sojourns.push_back(cell.record.sojourn_th);
-    acc.makespan_sum += cell.record.makespan;
-    acc.cost_sum += cell.record.cost;
+    acc.sojourns.push_back(cell->record.sojourn_th);
+    acc.makespan_sum += cell->record.makespan;
+    acc.cost_sum += cell->record.cost;
   }
 
   std::vector<GroupStats> out;
@@ -171,17 +183,17 @@ std::vector<FrontierPoint> frontier(const std::vector<core::RunDescriptor>& desc
   // Key: (node_mix text, revoke_react text). std::map gives sorted
   // traversal; the final sort below fixes numeric node_mix order.
   std::map<std::pair<std::string, std::string>, Acc> by_point;
-  for (const CellResult& cell : cells) {
-    if (!cell.ok) continue;
-    const core::RunDescriptor& d = descriptors[cell.index];
+  for (const CellResult* cell : in_descriptor_order(cells)) {
+    if (!cell->ok) continue;
+    const core::RunDescriptor& d = descriptors[cell->index];
     const std::string* mix = d.find("node_mix");
     const std::string* react = d.find("revoke_react");
     if (mix == nullptr || react == nullptr) continue;
     Acc& acc = by_point[{*mix, *react}];
     ++acc.runs;
-    acc.cost_sum += cell.record.cost;
-    acc.sojourn_sum += cell.record.sojourn_th;
-    acc.makespan_sum += cell.record.makespan;
+    acc.cost_sum += cell->record.cost;
+    acc.sojourn_sum += cell->record.sojourn_th;
+    acc.makespan_sum += cell->record.makespan;
   }
 
   std::vector<FrontierPoint> out;

@@ -1,28 +1,18 @@
-// Calendar queue of timestamped events with stable FIFO tie-breaking and
+// Priority queue of timestamped events with stable FIFO tie-breaking and
 // O(1) cancellation that releases the closure eagerly.
 //
-// Structure (Brown's calendar queue, 1988): events hash into an array of
-// "day" buckets by floor(time / width); pop scans the current day for
-// the earliest (time, id) pair and advances day by day, falling back to
-// a direct search when the calendar is sparse. The bucket count tracks
-// the number of pending events (amortized O(1) resize) so buckets stay
-// short and push/pop are O(1) for the steady-state timer populations a
-// warehouse-scale simulation carries. Pop order is the total order
-// (time, then insertion id) — exactly the binary heap's order, so the
-// event-stream digest is unchanged by construction (docs/PERF.md).
-//
-// Closures live in a slot arena, not in the calendar: bucket entries are
-// small PODs {time, id, slot}, and cancel() frees the slot (and the
-// std::function plus everything it captures) immediately. A cancelled
-// entry leaves only a POD tombstone behind, detected on scan by an
-// id mismatch against the arena slot and dropped in passing; when
-// tombstones outnumber live events the calendar is compacted outright.
+// A 4-ary min-heap of POD entries {time, id, slot} ordered by (time,
+// insertion id): the textbook heap's total order, so the event-stream
+// digest does not depend on the heap's shape (docs/PERF.md). Closures
+// live in a slot arena; cancel() frees the slot (and everything the
+// closure captured) at once and leaves a POD tombstone, detected by an
+// id mismatch against its slot. pop() and next_time() drop stale tops,
+// and the heap is compacted once tombstones outnumber live events.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/time.hpp"
@@ -45,9 +35,8 @@ class EventQueue {
 
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
 
-  /// Time of the earliest pending event; kTimeNever when empty. Advances
-  /// the calendar cursor and prunes tombstones in passing, hence
-  /// non-const (the old const version hid this behind a const_cast).
+  /// Time of the earliest pending event; kTimeNever when empty. Drops
+  /// stale tombstones off the top in passing, hence non-const.
   [[nodiscard]] SimTime next_time();
 
   /// Remove and return the earliest pending event.
@@ -61,36 +50,17 @@ class EventQueue {
 
   [[nodiscard]] std::size_t pending() const noexcept { return live_; }
 
-  /// Cancelled tombstones still occupying calendar buckets (their
-  /// closures are already freed). Bounded by compaction; exposed for the
-  /// cancellation-storm stress test.
+  /// Cancelled tombstones still in the heap (their closures are already
+  /// freed). Bounded by compaction; exposed for the stress tests.
   [[nodiscard]] std::size_t cancelled_entries() const noexcept { return cancelled_; }
 
-  /// Visit every pending (time, id) pair, unordered, without copying or
-  /// draining anything: O(pending) per full iteration.
-  template <typename Fn>
-  void for_each_pending(Fn&& fn) const {
-    for (const std::vector<Entry>& bucket : buckets_) {
-      for (const Entry& e : bucket) {
-        if (arena_[e.slot].id == e.id) fn(e.time, e.id);
-      }
-    }
-  }
-
-  /// Debug view of pending (time, id) pairs, unordered.
-  [[nodiscard]] std::vector<std::pair<SimTime, EventId>> pending_events() const;
-
  private:
-  /// POD calendar entry; the closure lives in arena_[slot]. Stale when
+  /// POD heap entry; the closure lives in arena_[slot]. Stale when
   /// arena_[slot].id != id (the event was cancelled, and the slot is
-  /// free or already reused by a later event). The entry's day is
-  /// computed once at filing time (and again on rebuilds, when the width
-  /// changes) so the day-scan in find_min() compares integers instead of
-  /// dividing per entry.
+  /// free or already reused by a later event).
   struct Entry {
     SimTime time;
     EventId id;
-    std::uint64_t day;
     std::uint32_t slot;
   };
   struct Slot {
@@ -100,37 +70,26 @@ class EventQueue {
   };
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-  [[nodiscard]] std::uint64_t day_of(SimTime t) const noexcept;
-  /// Locate the earliest pending entry into peek_*; false when empty.
-  bool find_min();
-  /// Drop stale tombstones everywhere; optionally rebuild with
-  /// `new_buckets` buckets and a width re-estimated from the survivors.
-  void compact(std::size_t new_buckets);
+  [[nodiscard]] bool stale(const Entry& e) const noexcept { return arena_[e.slot].id != e.id; }
+  void sift_down(std::size_t i);
+  /// Remove heap_[0], restoring the heap property.
+  void pop_top();
+  /// Destroy the slot's closure (if still there) and free the slot.
+  void free_slot(std::uint32_t slot);
+  /// Filter out every tombstone and re-heapify when they outnumber live
+  /// events and either reach 64 or nothing live remains.
+  void maybe_compact();
 
-  std::vector<std::vector<Entry>> buckets_ = std::vector<std::vector<Entry>>(kMinBuckets);
-  double width_ = 1.0;
-  std::uint64_t cur_day_ = 0;  ///< floor(earliest pending time / width_) or less
+  std::vector<Entry> heap_;
   std::size_t live_ = 0;       ///< pending, non-cancelled events
-  std::size_t cancelled_ = 0;  ///< tombstone entries still in buckets_
+  std::size_t cancelled_ = 0;  ///< tombstone entries still in heap_
 
   std::vector<Slot> arena_;
   std::uint32_t free_head_ = kNoSlot;
   /// Slot of each pending id, for cancel(); never iterated.
   std::unordered_map<EventId, std::uint32_t> slot_of_;
 
-  /// Set by find_min() when the found day's bucket scan ran long; pop()
-  /// answers with a (rate-limited) re-tuning compact.
-  bool overloaded_ = false;
-  std::size_t pops_since_compact_ = 0;
-
-  /// Cached result of find_min(), invalidated by push/cancel/pop.
-  bool peek_valid_ = false;
-  std::size_t peek_bucket_ = 0;
-  std::size_t peek_index_ = 0;
-
   EventId next_id_ = 1;
-
-  static constexpr std::size_t kMinBuckets = 8;
 };
 
 }  // namespace osap

@@ -45,16 +45,11 @@ class Simulation {
   void run_until(SimTime t);
 
   [[nodiscard]] std::uint64_t events_processed() const noexcept { return processed_; }
-  [[nodiscard]] std::size_t events_pending() const noexcept { return queue_.pending(); }
   /// FNV-1a digest of the executed event stream: every fired event's
   /// (time, id) pair, in firing order. Two runs of the same scenario must
   /// produce identical digests — the runtime witness behind the DET-*
   /// lint rules (docs/LINT.md); the tier-1 double-run test enforces it.
   [[nodiscard]] std::uint64_t trace_digest() const noexcept { return trace_digest_.value(); }
-  /// Debug view of pending (time, id) pairs.
-  [[nodiscard]] std::vector<std::pair<SimTime, EventId>> pending_events() const {
-    return queue_.pending_events();
-  }
 
   // --- invariant audits & watchdog ----------------------------------------
   /// Model layers register their InvariantAuditors here; step() sweeps

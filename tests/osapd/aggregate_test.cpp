@@ -152,6 +152,27 @@ TEST(Aggregate, SummaryJsonIsInvariantUnderCompletionOrder) {
   // The volatile fields stay out of the results section entirely.
   EXPECT_EQ(json.find("\"cached\""), std::string::npos);
   EXPECT_EQ(json.find("\"attempts\""), std::string::npos);
+
+  // Group and frontier means over values whose floating-point sum
+  // depends on the order of addition: summed forward they give 1,
+  // backward 0. Only descriptor-order accumulation makes them agree.
+  const double skewed[] = {1e16, 1, -1e16, 1};
+  std::vector<core::RunDescriptor> revoke;
+  std::vector<CellResult> revoke_cells;
+  for (std::size_t k = 0; k < 4; ++k) {
+    revoke.push_back(cell("workload=trace;lifetime_model=exp;node_mix=0.5;revoke_react=none;seed=" +
+                          std::to_string(k + 1)));
+    CellResult res = ok_cell(k, skewed[k], skewed[k]);
+    res.record.cost = skewed[k];
+    revoke_cells.push_back(res);
+  }
+  std::ostringstream in_order;
+  write_summary_json(in_order, revoke, revoke_cells, false, harness, 12.5);
+  std::ostringstream reversed;
+  write_summary_json(reversed, revoke, {revoke_cells.rbegin(), revoke_cells.rend()}, false,
+                     harness, 12.5);
+  EXPECT_EQ(in_order.str(), reversed.str());
+  EXPECT_NE(in_order.str().find("\"makespan_mean\":0.25"), std::string::npos);
 }
 
 TEST(Aggregate, FrontierGroupsByMixAndReactionInNumericMixOrder) {

@@ -125,6 +125,51 @@ TEST(EventQueue, CancellationStormReleasesClosuresAndCompacts) {
   EXPECT_EQ(q.cancelled_entries(), 0u);
 }
 
+// Steady-state re-arm, the heartbeat / lease-timer pattern: every round
+// cancels one pending timer and pushes its replacement, and every few
+// rounds the earliest timer fires and re-arms itself. Tombstones must
+// stay bounded at every step (not only after one burst), and every
+// cancelled closure must be gone the moment it is cancelled: the only
+// copies of the sentinel left are the ones pending closures hold.
+TEST(EventQueue, SteadyStateRearmKeepsTombstonesBounded) {
+  constexpr std::size_t kTimers = 50;
+  EventQueue q;
+  auto sentinel = std::make_shared<int>(7);
+  std::size_t fired_timer = kTimers;
+  const auto arm = [&](std::size_t k, SimTime t) {
+    return q.push(t, [sentinel, k, &fired_timer] { fired_timer = k; });
+  };
+  Rng rng(5);
+  SimTime now = 0;
+  std::vector<EventId> timer(kTimers);
+  for (std::size_t k = 0; k < kTimers; ++k) timer[k] = arm(k, rng.uniform(0.0, 30.0));
+
+  for (int round = 0; round < 20000; ++round) {
+    const std::size_t k = rng.uniform_int(0, kTimers - 1);
+    q.cancel(timer[k]);
+    // Checked before the re-push, which could reuse the freed slot.
+    ASSERT_EQ(sentinel.use_count(), static_cast<long>(1 + q.pending())) << "round " << round;
+    timer[k] = arm(k, now + rng.uniform(1.0, 30.0));
+    ASSERT_LE(q.cancelled_entries(), q.pending() + 64) << "round " << round;
+    if (round % 4 == 3) {
+      {
+        const auto ev = q.pop();
+        ASSERT_GE(ev.time, now);
+        now = ev.time;
+        ev.fn();
+      }
+      ASSERT_LT(fired_timer, kTimers);
+      timer[fired_timer] = arm(fired_timer, now + 3.0);
+      ASSERT_LE(q.cancelled_entries(), q.pending() + 64) << "round " << round;
+      ASSERT_EQ(sentinel.use_count(), static_cast<long>(1 + q.pending())) << "round " << round;
+    }
+  }
+  EXPECT_EQ(q.pending(), kTimers);
+  while (!q.empty()) q.pop();
+  EXPECT_EQ(q.cancelled_entries(), 0u);
+  EXPECT_EQ(sentinel.use_count(), 1);
+}
+
 // Differential check against the textbook reference: a binary heap over
 // (time, id) with FIFO tie-breaking. Random pushes, cancels, and pops
 // must drain in exactly the reference order — the property the trace
