@@ -1,6 +1,7 @@
 #include "core/run.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 
 #include "common/det.hpp"
@@ -51,6 +52,20 @@ bool contains(const char* const (&keys)[N], const std::string& key) {
 
 void set_default(RunDescriptor& d, const char* key, const char* value) {
   if (d.find(key) == nullptr) d.set(key, value);
+}
+
+/// The `seed` key as an exact uint64_t. Going through num()'s double
+/// would round seeds above 2^53, so two distinct descriptors (and config
+/// digests) could replay one simulation.
+std::uint64_t seed_of(const RunDescriptor& d, std::uint64_t fallback) {
+  const std::string* v = d.find("seed");
+  if (v == nullptr) return fallback;
+  std::uint64_t seed = 0;
+  const auto [end, ec] = std::from_chars(v->data(), v->data() + v->size(), seed);
+  if (ec != std::errc() || end != v->data() + v->size()) {
+    throw SimError("descriptor key 'seed' is not an unsigned 64-bit integer: '" + *v + "'");
+  }
+  return seed;
 }
 
 /// The counters subset shipped per cell: the preemption protocol's
@@ -109,7 +124,7 @@ void run_two_job_cell(const RunDescriptor& d, const RunOptions& opts, ResultReco
   params.progress_at_launch = d.num("r", 0.5);
   params.tl_state = parse_size(d.get("tl_state", "0"));
   params.th_state = parse_size(d.get("th_state", "0"));
-  params.seed = static_cast<std::uint64_t>(d.num("seed", 1));
+  params.seed = seed_of(d, 1);
   params.jitter = d.num("jitter", 0.02);
   params.fault_plan = inline_fault_plan(d);
   params.tick = opts.tick;
@@ -165,7 +180,7 @@ std::vector<CapacityScheduler::QueueConfig> parse_queue_spec(const std::string& 
 void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord& rec) {
   ClusterConfig cfg = paper_cluster();
   cfg.num_nodes = static_cast<int>(d.num("nodes", 4));
-  cfg.seed = static_cast<std::uint64_t>(d.num("seed", 7));
+  cfg.seed = seed_of(d, 7);
   const double swap_watermark = d.num("swap_watermark", 0.5);
   cfg.hadoop.suspend_swap_watermark = swap_watermark;
   apply_observability(opts, cfg);

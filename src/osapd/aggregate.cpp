@@ -22,23 +22,42 @@ double percentile(const std::vector<double>& sorted, double q) {
   return sorted[std::min(rank, sorted.size()) - 1];
 }
 
-bool all_numeric(const std::vector<std::string>& values) {
-  for (const std::string& v : values) {
-    char* end = nullptr;
-    std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0') return false;
+/// A value's magnitude when it is a finite number with an optional
+/// B/KiB/MiB/GiB suffix (the descriptor spelling of sizes, e.g. "320MiB").
+bool magnitude(const std::string& value, double& out) {
+  char* end = nullptr;
+  const double x = std::strtod(value.c_str(), &end);
+  if (end == value.c_str() || !std::isfinite(x)) return false;
+  const std::string suffix(end);
+  double scale = 1;
+  if (suffix == "KiB") {
+    scale = 1024.0;
+  } else if (suffix == "MiB") {
+    scale = 1024.0 * 1024;
+  } else if (suffix == "GiB") {
+    scale = 1024.0 * 1024 * 1024;
+  } else if (!suffix.empty() && suffix != "B") {
+    return false;
   }
+  out = x * scale;
   return true;
 }
 
+/// By magnitude when every value has one (ties broken lexically, so the
+/// order stays total), lexicographically otherwise.
 void sort_axis_values(std::vector<std::string>& values) {
-  if (all_numeric(values)) {
-    std::sort(values.begin(), values.end(), [](const std::string& a, const std::string& b) {
-      return std::strtod(a.c_str(), nullptr) < std::strtod(b.c_str(), nullptr);
-    });
-  } else {
-    std::sort(values.begin(), values.end());
+  std::vector<std::pair<double, std::string>> keyed;
+  keyed.reserve(values.size());
+  for (const std::string& v : values) {
+    double m = 0;
+    if (!magnitude(v, m)) {
+      std::sort(values.begin(), values.end());
+      return;
+    }
+    keyed.emplace_back(m, v);
   }
+  std::sort(keyed.begin(), keyed.end());
+  for (std::size_t i = 0; i < keyed.size(); ++i) values[i] = std::move(keyed[i].second);
 }
 
 /// Cells sorted by descriptor index. Floating-point sums depend on the
@@ -111,64 +130,66 @@ PivotTable pivot(const std::vector<core::RunDescriptor>& descriptors,
   }
   if (axis_values.empty()) return table;
 
-  // The scheduler × primitive sojourn matrix when both axes are really
-  // swept (the policy.matrix shape), then the paper's fig2 layout when
-  // available; otherwise the first two multi-valued non-seed axes in
-  // sorted key order.
-  const auto multi = [&](const char* key) {
-    const auto at = axis_values.find(key);
-    return at != axis_values.end() && at->second.size() >= 2;
+  // The multi-valued non-seed axes in sorted key order. A swept
+  // primitive is the column axis (one curve per primitive, as in the
+  // paper's figures) and the first other axis the rows; otherwise the
+  // first two axes are rows x columns. A missing axis is one "all" line.
+  std::vector<std::string> swept;
+  for (const auto& [key, vals] : axis_values) {
+    if (key != "seed" && vals.size() >= 2) swept.push_back(key);
+  }
+  if (const auto prim = std::find(swept.begin(), swept.end(), "primitive");
+      prim != swept.end()) {
+    swept.erase(prim);
+    table.col_axis = "primitive";
+    if (!swept.empty()) table.row_axis = swept[0];
+  } else {
+    if (!swept.empty()) table.row_axis = swept[0];
+    if (swept.size() > 1) table.col_axis = swept[1];
+  }
+  const auto lines = [&axis_values](const std::string& axis) {
+    if (axis.empty()) return std::vector<std::string>{"all"};
+    std::vector<std::string> values(axis_values[axis].begin(), axis_values[axis].end());
+    sort_axis_values(values);
+    return values;
   };
-  const bool sched_shape = multi("scheduler") && multi("primitive");
-  const bool fig2_shape = axis_values.contains("r") && axis_values.contains("primitive");
-  if (sched_shape) {
-    table.row_axis = "scheduler";
-    table.col_axis = "primitive";
-  } else if (fig2_shape) {
-    table.row_axis = "r";
-    table.col_axis = "primitive";
-  } else {
-    for (const auto& [key, vals] : axis_values) {
-      if (key == "seed" || vals.size() < 2) continue;
-      if (table.row_axis.empty()) {
-        table.row_axis = key;
-      } else if (table.col_axis.empty()) {
-        table.col_axis = key;
-        break;
-      }
-    }
-    if (table.row_axis.empty()) table.row_axis = axis_values.begin()->first;
+  table.rows = lines(table.row_axis);
+  table.cols = lines(table.col_axis);
+
+  struct Acc {
+    std::vector<double> sojourns;
+    double makespan_sum = 0;
+    double swapped_sum = 0;
+  };
+  std::map<std::pair<std::string, std::string>, Acc> by_cell;
+  for (const CellResult* cell : in_descriptor_order(cells)) {
+    if (!cell->ok) continue;
+    const core::RunDescriptor& d = descriptors[cell->index];
+    Acc& acc = by_cell[{d.get(table.row_axis, "all"), d.get(table.col_axis, "all")}];
+    acc.sojourns.push_back(cell->record.sojourn_th);
+    acc.makespan_sum += cell->record.makespan;
+    acc.swapped_sum += cell->record.tl_swapped_out_mib;
   }
 
-  table.rows.assign(axis_values[table.row_axis].begin(), axis_values[table.row_axis].end());
-  sort_axis_values(table.rows);
-  if (!table.col_axis.empty()) {
-    table.cols.assign(axis_values[table.col_axis].begin(), axis_values[table.col_axis].end());
-    sort_axis_values(table.cols);
-  } else {
-    table.cols = {"all"};
+  const std::vector<double> empty_row(table.cols.size(), -1);
+  for (auto* m : {&table.values, &table.p50, &table.p99, &table.makespan,
+                  &table.tl_swapped_out_mib}) {
+    m->assign(table.rows.size(), empty_row);
   }
-
-  table.values.assign(table.rows.size(), std::vector<double>(table.cols.size(), -1));
-  table.p50.assign(table.rows.size(), std::vector<double>(table.cols.size(), -1));
-  table.p99.assign(table.rows.size(), std::vector<double>(table.cols.size(), -1));
   for (std::size_t r = 0; r < table.rows.size(); ++r) {
     for (std::size_t c = 0; c < table.cols.size(); ++c) {
-      std::vector<double> samples;
-      for (const CellResult& cell : cells) {
-        if (!cell.ok) continue;
-        const core::RunDescriptor& d = descriptors[cell.index];
-        if (d.get(table.row_axis, "") != table.rows[r]) continue;
-        if (!table.col_axis.empty() && d.get(table.col_axis, "") != table.cols[c]) continue;
-        samples.push_back(cell.record.sojourn_th);
-      }
-      if (samples.empty()) continue;
-      std::sort(samples.begin(), samples.end());
+      const auto at = by_cell.find({table.rows[r], table.cols[c]});
+      if (at == by_cell.end()) continue;
+      Acc& acc = at->second;
+      std::sort(acc.sojourns.begin(), acc.sojourns.end());
       double sum = 0;
-      for (const double s : samples) sum += s;
-      table.values[r][c] = sum / static_cast<double>(samples.size());
-      table.p50[r][c] = percentile(samples, 0.50);
-      table.p99[r][c] = percentile(samples, 0.99);
+      for (const double s : acc.sojourns) sum += s;
+      const auto n = static_cast<double>(acc.sojourns.size());
+      table.values[r][c] = sum / n;
+      table.p50[r][c] = percentile(acc.sojourns, 0.50);
+      table.p99[r][c] = percentile(acc.sojourns, 0.99);
+      table.makespan[r][c] = acc.makespan_sum / n;
+      table.tl_swapped_out_mib[r][c] = acc.swapped_sum / n;
     }
   }
   return table;
@@ -297,6 +318,10 @@ void write_summary_json(std::ostream& out,
   write_matrix(table.p50);
   out << "],\"p99\":[";
   write_matrix(table.p99);
+  out << "],\"makespan\":[";
+  write_matrix(table.makespan);
+  out << "],\"tl_swapped_out_mib\":[";
+  write_matrix(table.tl_swapped_out_mib);
   out << "]}";
 
   // Cost vs. mean-sojourn frontier (docs/REVOKE.md) — empty for

@@ -4,11 +4,11 @@
 // A "group" is every cell sharing a cell_key (canonical descriptor
 // minus the seed axis); its seeds are replicates and the summary
 // reports mean/p50/p99/min/max of the TH sojourn and the makespan per
-// group. The pivot table rearranges groups along two axes — the
-// scheduler × primitive sojourn matrix when both axes are swept
-// (configs/policy.matrix), else the paper's figure 2 layout (r down the
-// rows, primitive across the columns) — with the mean, p50, and p99 TH
-// sojourn in each cell.
+// group. The pivot table rearranges groups along two swept axes — a
+// swept primitive across the columns, as in the paper's figures (r rows
+// for fig2, scheduler rows for configs/policy.matrix) — with the mean,
+// p50 and p99 TH sojourn, the mean makespan and the mean TL swap-out in
+// each cell.
 //
 // All traversal is over sorted keys (std::map, sorted vectors), so the
 // summary JSON is byte-deterministic for a given result set no matter
@@ -48,16 +48,20 @@ struct FrontierPoint {
 };
 
 struct PivotTable {
-  std::string row_axis;  // "" when the matrix has no second dimension
+  /// "" when there is no such axis; its single line is then named "all".
+  std::string row_axis;
   std::string col_axis;
   std::vector<std::string> rows;
   std::vector<std::string> cols;
-  /// values[r][c] = mean TH sojourn of the matching group; NaN-free:
+  /// values[r][c] = mean TH sojourn of the matching cells; NaN-free:
   /// cells with no successful run hold -1. p50/p99 are the nearest-rank
-  /// percentiles over the same sample set, same -1 convention.
+  /// percentiles over the same sample set, makespan and
+  /// tl_swapped_out_mib the means of those metrics, same -1 convention.
   std::vector<std::vector<double>> values;
   std::vector<std::vector<double>> p50;
   std::vector<std::vector<double>> p99;
+  std::vector<std::vector<double>> makespan;
+  std::vector<std::vector<double>> tl_swapped_out_mib;
 };
 
 /// Group terminal cell results by cell_key and compute per-group stats.
@@ -66,11 +70,13 @@ struct PivotTable {
     const std::vector<core::RunDescriptor>& descriptors,
     const std::vector<CellResult>& cells);
 
-/// Choose pivot axes (prefers "scheduler" rows x "primitive" cols when
-/// both are multi-valued, then "r" x "primitive", else the first two
-/// multi-valued non-seed axes) and fill the table with mean/p50/p99 TH
-/// sojourns. Values sort numerically when every value parses as a
-/// number, lexicographically otherwise.
+/// Choose pivot axes among the multi-valued non-seed axes (a swept
+/// "primitive" is the column axis and the first other one the row axis;
+/// otherwise the first two in sorted key order) and fill the table.
+/// Means accumulate in descriptor order, so the table does not depend on
+/// completion order. Values sort by magnitude when every value is a
+/// number with an optional B/KiB/MiB/GiB suffix, lexicographically
+/// otherwise.
 [[nodiscard]] PivotTable pivot(const std::vector<core::RunDescriptor>& descriptors,
                                const std::vector<CellResult>& cells);
 

@@ -58,13 +58,23 @@ int parse_int(const std::string& token, int line) {
 Bytes parse_size(const std::string& token) {
   char* end = nullptr;
   const double v = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || v < 0) throw SimError("bad size: " + token);
+  if (end == token.c_str() || !(v >= 0)) throw SimError("bad size: " + token);
   const std::string suffix(end);
-  if (suffix.empty() || suffix == "B") return static_cast<Bytes>(v);
-  if (suffix == "KiB") return static_cast<Bytes>(v * static_cast<double>(KiB));
-  if (suffix == "MiB") return static_cast<Bytes>(v * static_cast<double>(MiB));
-  if (suffix == "GiB") return static_cast<Bytes>(v * static_cast<double>(GiB));
-  throw SimError("bad size suffix in: " + token);
+  double unit = 1;
+  if (suffix == "KiB") {
+    unit = static_cast<double>(KiB);
+  } else if (suffix == "MiB") {
+    unit = static_cast<double>(MiB);
+  } else if (suffix == "GiB") {
+    unit = static_cast<double>(GiB);
+  } else if (!suffix.empty() && suffix != "B") {
+    throw SimError("bad size suffix in: " + token);
+  }
+  // inf and anything at or past 2^64 bytes has no Bytes value: casting it
+  // would be undefined behaviour.
+  const double bytes = v * unit;
+  if (!(bytes < 0x1p64)) throw SimError("bad size: " + token);
+  return static_cast<Bytes>(bytes);
 }
 
 void load_dummy_config(std::istream& in, DummyScheduler& scheduler, Cluster& cluster) {

@@ -96,6 +96,43 @@ TEST(RunFacade, MatchesTheDirectTwoJobRun) {
   EXPECT_FALSE(rec.counters.empty());
 }
 
+TEST(RunFacade, SeedsAreParsedExactly) {
+  // Above 2^53 a double cannot hold every integer: this seed and its
+  // neighbour would round to one value and replay one simulation.
+  const ResultRecord rec =
+      run_descriptor(RunDescriptor::parse("primitive=wait;r=0.1;seed=15021278609987233951"));
+  ASSERT_TRUE(rec.ok) << rec.error;
+  TwoJobParams params;
+  params.primitive = PreemptPrimitive::Wait;
+  params.progress_at_launch = 0.1;
+  params.seed = 15021278609987233951ULL;
+  const TwoJobResult direct = run_two_job(params);
+  EXPECT_EQ(rec.sojourn_th, direct.sojourn_th);
+  EXPECT_EQ(rec.makespan, direct.makespan);
+
+  const ResultRecord neighbour =
+      run_descriptor(RunDescriptor::parse("primitive=wait;r=0.1;seed=15021278609987233952"));
+  ASSERT_TRUE(neighbour.ok) << neighbour.error;
+  EXPECT_NE(neighbour.trace_digest, rec.trace_digest);
+
+  for (const char* bad : {"seed=1.5", "seed=-1", "seed=18446744073709551616", "seed=1e3",
+                          "seed=", "seed=7x", "workload=trace;jobs=2;seed=2.5"}) {
+    const ResultRecord failed = run_descriptor(RunDescriptor::parse(bad));
+    EXPECT_FALSE(failed.ok) << bad;
+    EXPECT_NE(failed.error.find("'seed'"), std::string::npos) << bad << ": " << failed.error;
+  }
+}
+
+TEST(RunFacade, HostileSizesAreRecordedFailures) {
+  // Each used to run as a stateless cell after an out-of-range cast.
+  for (const char* bad : {"tl_state=infGiB", "th_state=nan", "tl_state=1e300",
+                          "workload=trace;jobs=2;state=infGiB"}) {
+    const ResultRecord rec = run_descriptor(RunDescriptor::parse(bad));
+    EXPECT_FALSE(rec.ok) << bad;
+    EXPECT_NE(rec.error.find("bad size"), std::string::npos) << bad << ": " << rec.error;
+  }
+}
+
 TEST(RunFacade, FailuresAreRecordedNotThrown) {
   // A sweep must survive a bad cell: errors land in the record.
   const ResultRecord rec = run_descriptor(RunDescriptor::parse("workload=nope"));

@@ -1,8 +1,8 @@
 // Aggregation over terminal cell results: seed replicates group by
-// cell_key, percentiles are nearest-rank, the pivot reproduces the
-// paper's fig2 layout when the axes allow it, and the summary JSON is
-// invariant under the pool's completion order — the whole point of
-// sorting every traversal.
+// cell_key, percentiles are nearest-rank, the pivot puts a swept
+// primitive across the columns and a sized axis in magnitude order, and
+// the summary JSON is invariant under the pool's completion order — the
+// whole point of sorting every traversal.
 #include "osapd/aggregate.hpp"
 
 #include <gtest/gtest.h>
@@ -114,6 +114,72 @@ TEST(Aggregate, PivotFallsBackToTheFirstTwoMultiValuedAxes) {
   EXPECT_EQ(table.col_axis, "scheduler");  // second
   EXPECT_EQ(table.rows, (std::vector<std::string>{"8", "16"}));  // numeric sort
   EXPECT_EQ(table.cols, (std::vector<std::string>{"fifo", "hfsp"}));
+}
+
+TEST(Aggregate, PivotKeepsASweptAxisBesideThePrimitiveColumns) {
+  // Normalization gives every two_job cell an r, so a th_state sweep at
+  // one r must still pivot on th_state, not collapse onto r = 0.5.
+  std::vector<core::RunDescriptor> descriptors;
+  std::vector<CellResult> cells;
+  for (const char* th : {"1280MiB", "0", "320MiB"}) {
+    for (const char* prim : {"susp", "kill"}) {
+      for (const char* seed : {"1", "2"}) {
+        descriptors.push_back(cell(std::string("r=0.5;tl_state=2560MiB;th_state=") + th +
+                                   ";primitive=" + prim + ";seed=" + seed));
+        const auto i = static_cast<double>(cells.size());
+        CellResult res = ok_cell(cells.size(), 80 + i, 160 + i);
+        res.record.tl_swapped_out_mib = 10 * i;
+        cells.push_back(res);
+      }
+    }
+  }
+  const PivotTable table = pivot(descriptors, cells);
+  EXPECT_EQ(table.row_axis, "th_state");
+  EXPECT_EQ(table.col_axis, "primitive");
+  EXPECT_EQ(table.rows, (std::vector<std::string>{"0", "320MiB", "1280MiB"}));
+  EXPECT_EQ(table.cols, (std::vector<std::string>{"kill", "susp"}));
+  // (th_state=0, kill) holds cells 6 and 7; (1280MiB, susp) cells 0 and 1.
+  EXPECT_DOUBLE_EQ(table.values[0][0], 86.5);
+  EXPECT_DOUBLE_EQ(table.makespan[0][0], 166.5);
+  EXPECT_DOUBLE_EQ(table.tl_swapped_out_mib[0][0], 65);
+  EXPECT_DOUBLE_EQ(table.values[2][1], 80.5);
+  EXPECT_DOUBLE_EQ(table.makespan[2][1], 160.5);
+  EXPECT_DOUBLE_EQ(table.tl_swapped_out_mib[2][1], 5);
+
+  // Nothing swept but the seed: a single all x all cell.
+  const std::vector<core::RunDescriptor> one_prim(descriptors.begin(), descriptors.begin() + 2);
+  const PivotTable rows_only = pivot(one_prim, {cells[0], cells[1]});
+  EXPECT_EQ(rows_only.row_axis, "");
+  EXPECT_EQ(rows_only.rows, (std::vector<std::string>{"all"}));
+  EXPECT_EQ(rows_only.col_axis, "");
+  EXPECT_DOUBLE_EQ(rows_only.values[0][0], 80.5);
+
+  // A swept primitive alone is one row of per-primitive columns.
+  const std::vector<core::RunDescriptor> prims = {descriptors[0], descriptors[2]};
+  const PivotTable prim_only = pivot(prims, {ok_cell(0, 80, 0), ok_cell(1, 84, 0)});
+  EXPECT_EQ(prim_only.row_axis, "");
+  EXPECT_EQ(prim_only.col_axis, "primitive");
+  EXPECT_EQ(prim_only.rows, (std::vector<std::string>{"all"}));
+  EXPECT_EQ(prim_only.values, (std::vector<std::vector<double>>{{84, 80}}));
+}
+
+TEST(Aggregate, SizeValuedAxesSortByMagnitude) {
+  const auto rows_of = [](const std::vector<std::string>& states) {
+    std::vector<core::RunDescriptor> descriptors;
+    std::vector<CellResult> cells;
+    for (const std::string& state : states) {
+      descriptors.push_back(cell("primitive=susp;th_state=" + state));
+      cells.push_back(ok_cell(cells.size(), 1, 0));
+    }
+    return pivot(descriptors, cells).rows;
+  };
+  // Lexically: 0, 1024MiB, 1280MiB, 1GiB, 2GiB, 320MiB, 4096KiB, 512B.
+  EXPECT_EQ(rows_of({"1280MiB", "320MiB", "2GiB", "0", "512B", "1GiB", "1024MiB", "4096KiB"}),
+            (std::vector<std::string>{"0", "512B", "4096KiB", "320MiB", "1024MiB", "1GiB",
+                                      "1280MiB", "2GiB"}));
+  // One value without a magnitude sorts the whole axis lexically.
+  EXPECT_EQ(rows_of({"320MiB", "1280MiB", "2TiB"}),
+            (std::vector<std::string>{"1280MiB", "2TiB", "320MiB"}));
 }
 
 TEST(Aggregate, SummaryJsonIsInvariantUnderCompletionOrder) {

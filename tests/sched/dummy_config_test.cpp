@@ -141,5 +141,19 @@ TEST(ParseSize, Suffixes) {
   EXPECT_THROW(parse_size("oops"), SimError);
 }
 
+TEST(ParseSize, RejectsNonFiniteAndOutOfRangeValues) {
+  // Each of these used to reach a double -> Bytes cast outside the
+  // target's range, which is undefined behaviour.
+  for (const char* token : {"inf", "infGiB", "nan", "nanMiB", "-nan", "1e300", "1e300B",
+                            "17179869184GiB", "18446744073709551616"}) {
+    EXPECT_THROW(parse_size(token), SimError) << token;
+  }
+  EXPECT_EQ(parse_size("17179869183GiB"), 17179869183 * GiB);  // largest whole GiB
+
+  Rig rig;
+  std::istringstream in("job a priority 0 tasks 1 input 1MiB state infGiB\n");
+  EXPECT_THROW(load_dummy_config(in, *rig.ds, rig.cluster), SimError);
+}
+
 }  // namespace
 }  // namespace osap

@@ -4,17 +4,9 @@
 //                 [--tl-state 0MiB] [--th-state 0MiB] [--runs 20] [--seed 42]
 //       The paper's two-job experiment; prints the §IV metrics.
 //
-//   osap sweep    [--tl-state ...] [--th-state ...] [--seed 42]
-//                 [--matrix file.matrix] [--set key=v1,v2]... [--digests]
-//       Full r x primitive sweep (Figures 2/3 in one table). A thin
-//       client of the osapd matrix expansion (docs/OSAPD.md): the
-//       default matrix is the paper's fig2 grid, `--matrix` loads a
-//       checked-in spec instead, and `--digests` prints one
-//       "<config-digest> <trace-digest> <descriptor>" line per cell —
-//       the bit-for-bit comparison anchor for `osapd run`.
-//
 //   osap gantt    [--primitive susp] [--r 0.5] [--tl-state ...] [--th-state ...]
-//       One run, rendered as a Figure-1-style schedule.
+//       One run, rendered as a Figure-1-style schedule; the paper's
+//       Fig. 1 is `--primitive wait|kill|susp --r 0.5`.
 //
 //   osap config <file> [--nodes 1] [--seed 1]
 //       Run a dummy-scheduler configuration file (§III-B) and report
@@ -40,7 +32,6 @@
 // Flags take either `--key value` or `--key=value` form. Unknown flags
 // are an error, never silently ignored — a typoed flag quietly running
 // the default experiment has burned enough sweep hours already.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -49,11 +40,7 @@
 #include <string>
 
 #include "common/error.hpp"
-
-#include "core/run.hpp"
 #include "fault/injector.hpp"
-#include "osapd/expand.hpp"
-#include "osapd/matrix.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/table.hpp"
 #include "metrics/timeline.hpp"
@@ -180,75 +167,6 @@ int cmd_two_job(const Args& args) {
   std::printf("makespan:    %.1f s  (min %.1f, max %.1f)\n", makespan.mean(), makespan.min(),
               makespan.max());
   std::printf("tl paged:    %.0f MiB\n", swap.mean());
-  return 0;
-}
-
-/// The paper's fig2 grid as a matrix spec — the same default the
-/// checked-in configs/fig2.matrix spells out (modulo the seed axis).
-osapd::MatrixSpec default_sweep_matrix(const Args& args) {
-  osapd::MatrixSpec spec;
-  spec.axes["workload"] = {"two_job"};
-  spec.axes["primitive"] = {"wait", "kill", "susp"};
-  spec.axes["r"] = {"0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9"};
-  spec.axes["seed"] = {args.get("seed", "42")};
-  spec.axes["tl_state"] = {args.get("tl-state", "0")};
-  spec.axes["th_state"] = {args.get("th-state", "0")};
-  return spec;
-}
-
-int cmd_sweep(const Args& args) {
-  // Thin client of the osapd matrix expansion: identical cell order and
-  // identical config digests to `osapd expand`/`osapd run`, computed
-  // in-process.
-  osapd::MatrixSpec spec;
-  if (args.flags.contains("matrix")) {
-    const std::string path = args.get("matrix", "");
-    std::ifstream in(path);
-    OSAP_CHECK_MSG(in, "cannot open matrix file " << path);
-    spec = osapd::parse_matrix(in, path);
-  } else {
-    spec = default_sweep_matrix(args);
-  }
-  if (args.flags.contains("set")) osapd::apply_set(spec, args.get("set", ""));
-  const std::vector<core::RunDescriptor> cells = osapd::expand(spec);
-
-  if (args.flags.contains("digests")) {
-    for (const core::RunDescriptor& d : cells) {
-      const core::ResultRecord rec = core::run_descriptor(d);
-      std::printf("%s %016llx %s%s\n", d.digest_hex().c_str(),
-                  static_cast<unsigned long long>(rec.trace_digest), d.canonical().c_str(),
-                  rec.ok ? "" : " FAILED");
-    }
-    return 0;
-  }
-
-  // Group results into the paper's table: r down the rows, one sojourn
-  // and one makespan column per primitive.
-  std::map<double, std::map<std::string, std::pair<double, double>>> grid;
-  std::vector<std::string> prims;
-  for (const core::RunDescriptor& d : cells) {
-    const core::ResultRecord rec = core::run_descriptor(d);
-    OSAP_CHECK_MSG(rec.ok, "sweep cell failed (" << d.canonical() << "): " << rec.error);
-    const std::string prim = d.get("primitive", "susp");
-    grid[d.num("r", 0.5)][prim] = {rec.sojourn_th, rec.makespan};
-    if (std::find(prims.begin(), prims.end(), prim) == prims.end()) prims.push_back(prim);
-  }
-  std::vector<std::string> headers{"r (%)"};
-  for (const std::string& p : prims) headers.push_back(p + " sojourn");
-  for (const std::string& p : prims) headers.push_back(p + " makespan");
-  Table table(headers);
-  for (const auto& [r, by_prim] : grid) {
-    std::vector<std::string> row{std::to_string(static_cast<int>(r * 100 + 0.5))};
-    std::vector<std::string> tail;
-    for (const std::string& p : prims) {
-      const auto it = by_prim.find(p);
-      row.push_back(it != by_prim.end() ? Table::num(it->second.first) : "-");
-      tail.push_back(it != by_prim.end() ? Table::num(it->second.second) : "-");
-    }
-    row.insert(row.end(), tail.begin(), tail.end());
-    table.row(row);
-  }
-  table.print();
   return 0;
 }
 
@@ -393,12 +311,10 @@ int cmd_trace(const Args& args) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: osap <two-job|sweep|gantt|config|trace> [flags]\n"
+               "usage: osap <two-job|gantt|config|trace> [flags]\n"
                "\n"
                "  two-job  --primitive wait|kill|susp|natjam  --r 0.5\n"
                "           --tl-state 0MiB  --th-state 0MiB  --runs 20  --seed 42\n"
-               "  sweep    --tl-state SZ  --th-state SZ  --seed 42\n"
-               "           --matrix file.matrix  --set key=v1,v2  --digests\n"
                "  gantt    --primitive P  --r 0.5  --tl-state SZ  --th-state SZ\n"
                "           --seed 42  --cell 3.0  + common flags\n"
                "  config   <file>  --nodes 1  --seed 1  + common flags\n"
@@ -439,10 +355,6 @@ int main(int argc, char** argv) {
     if (cmd == "two-job") {
       args.check_allowed("two-job", {"primitive", "r", "tl-state", "th-state", "runs", "seed"});
       return cmd_two_job(args);
-    }
-    if (cmd == "sweep") {
-      args.check_allowed("sweep", {"tl-state", "th-state", "seed", "matrix", "set", "digests"});
-      return cmd_sweep(args);
     }
     if (cmd == "gantt") {
       args.check_allowed("gantt", with_common({"primitive", "r", "tl-state", "th-state",
