@@ -83,12 +83,7 @@ ScaleResult run_scale(int nodes, int jobs, const ScaleOpts& opts = {}) {
   swim.max_tasks = 12;
   swim.stateful_fraction = 0.2;
   Rng rng(11);
-  auto ids = std::make_shared<std::vector<JobId>>();
-  for (SwimJob& job : generate_swim_trace(swim, rng)) {
-    cluster.sim().at(job.arrival, [&cluster, ids, spec = std::move(job.spec)]() mutable {
-      ids->push_back(cluster.submit(std::move(spec)));
-    });
-  }
+  const auto ids = schedule_arrivals(cluster, generate_swim_trace(swim, rng));
   cluster.run();
   const auto end = std::chrono::steady_clock::now();
 

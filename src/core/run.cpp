@@ -250,7 +250,6 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
   const double deadline_factor = d.num("deadline_factor", 0);
   Rng rng(cfg.seed);
   std::vector<SwimJob> trace = generate_swim_trace(swim, rng);
-  auto ids = std::make_shared<std::vector<JobId>>();
   std::size_t job_index = 0;
   for (SwimJob& job : trace) {
     // Round-robin queue assignment; with the default single queue this
@@ -261,15 +260,8 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
           job.arrival + deadline_factor * static_cast<double>(job.spec.tasks.size());
     }
     ++job_index;
-    // A pending arrival is open work: without the retain, the run loop
-    // would exit at the first full drain and silently drop every job
-    // scheduled to arrive later — `jobs=N` must mean N jobs ran.
-    cluster.retain_work();
-    cluster.sim().at(job.arrival, [&cluster, ids, spec = std::move(job.spec)]() mutable {
-      ids->push_back(cluster.submit(std::move(spec)));
-      cluster.release_work();
-    });
   }
+  const auto ids = schedule_arrivals(cluster, std::move(trace));
 
   // Gang scheduling: a slice > 0 arms the rotation timer; the rotator
   // re-arms itself, and Cluster::run terminates on all-jobs-done

@@ -86,8 +86,8 @@ void Cluster::run(const std::function<void()>& tick) {
   // Heartbeat timers re-arm forever, so "queue empty" never happens; stop
   // once every submitted job has completed (trigger-submitted jobs arrive
   // while their predecessors still run, so this is safe for experiments)
-  // AND no out-of-band work — a driver's async continuation between two
-  // of its jobs, say — is still in flight.
+  // AND no out-of-band work — a trace arrival still due, say — is still
+  // in flight.
   std::uint64_t fired = 0;
   while (!(!jt_.jobs_in_order().empty() && jt_.all_jobs_done() && open_work_ == 0) &&
          sim_.step()) {

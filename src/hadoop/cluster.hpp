@@ -87,7 +87,8 @@ class Cluster {
   [[nodiscard]] std::uint64_t trace_digest() const noexcept { return sim_.trace_digest(); }
 
   /// Keep run() alive past job completion while out-of-band work (e.g. a
-  /// driver's async page-in) is still outstanding. Balanced pairs.
+  /// scheduled job arrival that has not fired yet) is still outstanding.
+  /// Balanced pairs.
   void retain_work() { ++open_work_; }
   void release_work() {
     OSAP_CHECK(open_work_ > 0);

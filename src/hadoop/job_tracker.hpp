@@ -118,7 +118,8 @@ class JobTracker final : public InvariantAuditor {
   [[nodiscard]] const Task& task(TaskId id) const;
   [[nodiscard]] Task& task_mutable(TaskId id);
 
-  /// Replace a task's spec (e.g. a Spark recompute after a lost cache).
+  /// Replace a task's spec (e.g. the policy engine dropping a requeued
+  /// victim's locality pin).
   /// Goes through the tracker so the job's remaining-bytes total follows
   /// the new input size; writing task_mutable(id).spec directly would
   /// silently desync it (the audit checks).

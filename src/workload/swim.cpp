@@ -1,6 +1,9 @@
 #include "workload/swim.hpp"
 
 #include <cmath>
+#include <utility>
+
+#include "hadoop/cluster.hpp"
 
 namespace osap {
 
@@ -40,6 +43,20 @@ std::vector<SwimJob> generate_swim_trace(const SwimConfig& cfg, Rng& rng) {
     clock += rng.exponential(cfg.mean_interarrival);
   }
   return trace;
+}
+
+std::shared_ptr<const std::vector<JobId>> schedule_arrivals(Cluster& cluster,
+                                                            std::vector<SwimJob> trace) {
+  auto ids = std::make_shared<std::vector<JobId>>();
+  ids->reserve(trace.size());
+  for (SwimJob& job : trace) {
+    cluster.retain_work();
+    cluster.sim().at(job.arrival, [&cluster, ids, spec = std::move(job.spec)]() mutable {
+      ids->push_back(cluster.submit(std::move(spec)));
+      cluster.release_work();
+    });
+  }
+  return ids;
 }
 
 }  // namespace osap

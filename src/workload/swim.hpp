@@ -9,9 +9,10 @@
 // large — the regime where preempting long tasks for short jobs pays off.
 #pragma once
 
-#include <utility>
+#include <memory>
 #include <vector>
 
+#include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "hadoop/job.hpp"
@@ -39,5 +40,15 @@ struct SwimJob {
 };
 
 std::vector<SwimJob> generate_swim_trace(const SwimConfig& cfg, Rng& rng);
+
+class Cluster;
+
+/// Submit each job of `trace` to `cluster` at its arrival time. Every
+/// pending arrival holds the cluster's work guard, so Cluster::run keeps
+/// going through a full drain until the last job has arrived: a trace of
+/// N jobs runs N jobs. The returned ids fill in arrival order as the jobs
+/// are submitted; read them after the run.
+std::shared_ptr<const std::vector<JobId>> schedule_arrivals(Cluster& cluster,
+                                                            std::vector<SwimJob> trace);
 
 }  // namespace osap

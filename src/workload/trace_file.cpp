@@ -1,5 +1,6 @@
 #include "workload/trace_file.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -29,7 +30,8 @@ std::vector<SwimJob> load_trace_file(std::istream& in, const TraceFileConfig& cf
     SwimJob job;
     char* end = nullptr;
     job.arrival = std::strtod(arrival_str.c_str(), &end);
-    if (end == arrival_str.c_str() || *end != '\0' || job.arrival < 0) {
+    if (end == arrival_str.c_str() || *end != '\0' || !std::isfinite(job.arrival) ||
+        job.arrival < 0) {
       throw SimError("trace line " + std::to_string(lineno) + ": bad arrival '" + arrival_str +
                      "'");
     }

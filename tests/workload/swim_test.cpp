@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "hadoop/cluster.hpp"
+#include "sched/fifo.hpp"
+
 namespace osap {
 namespace {
 
@@ -83,6 +88,28 @@ TEST(Swim, MeanInterarrivalApproximatelyRespected) {
   const double span = trace.back().arrival - trace.front().arrival;
   const double mean = span / static_cast<double>(trace.size() - 1);
   EXPECT_NEAR(mean, 10.0, 1.0);
+}
+
+TEST(Swim, ArrivalsAfterAFullDrainStillRun) {
+  // Each job finishes long before the next one arrives, so the cluster
+  // drains completely between arrivals. Every job must still be
+  // submitted, on time and in arrival order, and succeed.
+  Cluster cluster(paper_cluster());
+  cluster.set_scheduler(std::make_unique<FifoScheduler>());
+  std::vector<SwimJob> trace;
+  for (int j = 0; j < 3; ++j) {
+    trace.push_back(SwimJob{0.1 + 1000.0 * j,
+                            single_task_job("late" + std::to_string(j), 0, light_map_task())});
+  }
+  const auto ids = schedule_arrivals(cluster, std::move(trace));
+  cluster.run();
+  ASSERT_EQ(ids->size(), 3u);
+  for (std::size_t j = 0; j < ids->size(); ++j) {
+    const Job& job = cluster.job_tracker().job((*ids)[j]);
+    EXPECT_EQ(job.spec.name, "late" + std::to_string(j));
+    EXPECT_EQ(job.state, JobState::Succeeded);
+    EXPECT_DOUBLE_EQ(job.submitted_at, 0.1 + 1000.0 * static_cast<double>(j));
+  }
 }
 
 }  // namespace

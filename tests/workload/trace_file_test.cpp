@@ -67,6 +67,11 @@ TEST(TraceFile, RejectsMalformedLines) {
   EXPECT_THROW(load_trace_file(bad2), SimError);
   std::istringstream bad3("j 0 64XB 0 0\n");
   EXPECT_THROW(load_trace_file(bad3), SimError);
+  // strtod accepts these spellings, but no arrival time is non-finite.
+  for (const char* arrival : {"nan", "-nan", "inf", "infinity", "1e999"}) {
+    std::istringstream bad("j " + std::string(arrival) + " 64MiB 0 0\n");
+    EXPECT_THROW(load_trace_file(bad), SimError) << arrival;
+  }
 }
 
 TEST(TraceFile, ZeroInputStillYieldsOneMapper) {

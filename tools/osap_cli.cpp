@@ -285,22 +285,16 @@ int cmd_trace(const Args& args) {
     Rng rng(cfg.seed);
     trace = generate_swim_trace(swim, rng);
   }
-  auto ids = std::make_shared<std::vector<std::pair<std::string, JobId>>>();
-  for (SwimJob& job : trace) {
-    const std::string name = job.spec.name;
-    cluster.sim().at(job.arrival, [&cluster, ids, name, spec = std::move(job.spec)]() mutable {
-      ids->emplace_back(name, cluster.submit(std::move(spec)));
-    });
-  }
+  const auto ids = schedule_arrivals(cluster, std::move(trace));
   const auto faults = maybe_inject_faults(args, cluster);
   cluster.run();
   const JobTracker& jt = cluster.job_tracker();
   Table table({"job", "tasks", "sojourn (s)"});
   RunningStat sojourn;
-  for (const auto& [name, id] : *ids) {
+  for (JobId id : *ids) {
     const Job& job = jt.job(id);
     sojourn.add(job.sojourn());
-    table.row({name, std::to_string(job.tasks.size()), Table::num(job.sojourn())});
+    table.row({job.spec.name, std::to_string(job.tasks.size()), Table::num(job.sojourn())});
   }
   table.print();
   std::printf("\nscheduler=%s primitive=%s mean sojourn %.1f s\n", which.c_str(),
