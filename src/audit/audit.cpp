@@ -1,6 +1,5 @@
 #include "audit/audit.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <sstream>
 
@@ -22,24 +21,26 @@ std::string labelled(const InvariantAuditor& auditor, const std::string& message
 }  // namespace
 
 void AuditRegistry::add(InvariantAuditor* auditor) {
-  if (auditor == nullptr) return;
-  if (std::find(auditors_.begin(), auditors_.end(), auditor) != auditors_.end()) return;
-  auditors_.push_back(auditor);
-  costs_.push_back(AuditorCost{auditor->audit_label(), 0, 0});
+  if (auditor == nullptr || !index_.try_emplace(auditor, entries_.size()).second) return;
+  entries_.push_back(Entry{auditor, AuditorCost{auditor->audit_label(), 0, 0}});
 }
 
 void AuditRegistry::remove(InvariantAuditor* auditor) {
-  for (std::size_t i = 0; i < auditors_.size(); ++i) {
-    if (auditors_[i] != auditor) continue;
-    retired_costs_.push_back(std::move(costs_[i]));
-    auditors_.erase(auditors_.begin() + static_cast<std::ptrdiff_t>(i));
-    costs_.erase(costs_.begin() + static_cast<std::ptrdiff_t>(i));
-    return;
-  }
+  const auto it = index_.find(auditor);
+  if (it == index_.end()) return;
+  Entry& entry = entries_[it->second];
+  retired_costs_.push_back(std::move(entry.cost));
+  entry.auditor = nullptr;
+  index_.erase(it);
+  if (entries_.size() <= 2 * index_.size()) return;
+  std::erase_if(entries_, [](const Entry& e) { return e.auditor == nullptr; });
+  for (std::size_t i = 0; i < entries_.size(); ++i) index_[entries_[i].auditor] = i;
 }
 
 void AuditRegistry::run(std::vector<std::string>& violations) const {
-  for (const InvariantAuditor* auditor : auditors_) {
+  for (const Entry& entry : entries_) {
+    const InvariantAuditor* auditor = entry.auditor;
+    if (auditor == nullptr) continue;
     std::vector<std::string> found;
     auditor->audit(found);
     for (const std::string& message : found) violations.push_back(labelled(*auditor, message));
@@ -49,15 +50,16 @@ void AuditRegistry::run(std::vector<std::string>& violations) const {
 AuditRegistry::SweepStats AuditRegistry::sweep(std::vector<std::string>& violations) {
   ++sweeps_;
   SweepStats stats;
-  for (std::size_t i = 0; i < auditors_.size(); ++i) {
-    InvariantAuditor* auditor = auditors_[i];
+  for (Entry& entry : entries_) {
+    InvariantAuditor* auditor = entry.auditor;
+    if (auditor == nullptr) continue;
     if (auditor->audit_supports_dirty() && !auditor->audit_dirty()) {
       ++stats.skipped;
-      ++costs_[i].skipped;
+      ++entry.cost.skipped;
       continue;
     }
     ++stats.swept;
-    ++costs_[i].swept;
+    ++entry.cost.swept;
     std::vector<std::string> found;
     auditor->audit(found);
     if (found.empty()) {
@@ -72,15 +74,18 @@ AuditRegistry::SweepStats AuditRegistry::sweep(std::vector<std::string>& violati
 
 std::vector<AuditRegistry::AuditorCost> AuditRegistry::costs() const {
   std::vector<AuditorCost> all = retired_costs_;
-  all.insert(all.end(), costs_.begin(), costs_.end());
+  for (const Entry& entry : entries_) {
+    if (entry.auditor != nullptr) all.push_back(entry.cost);
+  }
   return all;
 }
 
 std::string AuditRegistry::dump_all() const {
   std::ostringstream os;
-  for (const InvariantAuditor* auditor : auditors_) {
-    os << "--- " << auditor->audit_label() << " ---\n";
-    auditor->dump(os);
+  for (const Entry& entry : entries_) {
+    if (entry.auditor == nullptr) continue;
+    os << "--- " << entry.auditor->audit_label() << " ---\n";
+    entry.auditor->dump(os);
   }
   return os.str();
 }

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/time.hpp"
@@ -88,6 +89,8 @@ class InvariantAuditor {
 
 class AuditRegistry {
  public:
+  /// Register; a repeated add is a no-op. O(1) expected, like remove():
+  /// a large cluster registers and retires thousands of auditors.
   void add(InvariantAuditor* auditor);
   void remove(InvariantAuditor* auditor);
 
@@ -119,13 +122,22 @@ class AuditRegistry {
   /// Every auditor's dump, concatenated.
   [[nodiscard]] std::string dump_all() const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return auditors_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
 
  private:
-  std::vector<InvariantAuditor*> auditors_;
-  /// costs_[i] belongs to auditors_[i] while registered; on remove() the
-  /// row is retired to retired_costs_ so measurements survive teardown.
-  std::vector<AuditorCost> costs_;
+  /// One registration: the auditor (null once removed) and its cost row.
+  struct Entry {
+    InvariantAuditor* auditor = nullptr;
+    AuditorCost cost;
+  };
+  /// Live auditors in registration order, with holes where remove()
+  /// retired one; the holes are compacted away once they outnumber the
+  /// live entries, so removal is amortized O(1) and sweeps stay dense.
+  std::vector<Entry> entries_;
+  /// Auditor -> its index in entries_.
+  std::unordered_map<const InvariantAuditor*, std::size_t> index_;
+  /// Cost rows of removed auditors, in removal order, so measurements
+  /// survive teardown.
   std::vector<AuditorCost> retired_costs_;
   std::uint64_t sweeps_ = 0;
 };

@@ -78,6 +78,10 @@ struct Job {
   /// progress, spec) is written through a JobTracker choke point that
   /// resets this, so the cached bound never outlives its inputs.
   SimTime spec_next_check = 0;
+  /// Key under which the JobTracker last filed this job in its waiting
+  /// speculation index (docs/SPECULATION.md); -1 = not waiting (due, not
+  /// running, or speculation off).
+  SimTime spec_waiting_key = -1;
 
   /// Sojourn time: submission to completion (§IV-B).
   [[nodiscard]] Duration sojourn() const noexcept {

@@ -128,7 +128,7 @@ void JobTracker::set_task_state(Task& task, TaskState to) {
   task.state = to;
   index_task(job, task.id, to, /*add=*/true);
   job.remaining_bytes += remaining_contrib(task);
-  job.spec_next_check = 0;
+  set_spec_next_check(job, 0);
   reindex_job(job);
   if (task.spec.type == TaskType::Map) {
     // The shuffle-barrier count tracks maps crossing the SUCCEEDED
@@ -151,6 +151,35 @@ void JobTracker::reindex_job(Job& job) {
   } else {
     schedulable_jobs_.erase(job.id);
   }
+  if (running && !job.suspended.empty()) {
+    parked_jobs_.insert(job.id);
+  } else {
+    parked_jobs_.erase(job.id);
+  }
+  if (cfg_.speculative_execution) file_spec(job);
+}
+
+void JobTracker::set_spec_next_check(Job& job, SimTime at) {
+  job.spec_next_check = at;
+  // With speculation off nothing reads the bound, so neither index is
+  // kept: the choke points stay as cheap as a field write.
+  if (cfg_.speculative_execution) file_spec(job);
+}
+
+void JobTracker::file_spec(Job& job) {
+  const bool running = job.state == JobState::Running;
+  const bool waiting = running && job.spec_next_check > sim_.now();
+  const SimTime key = waiting ? job.spec_next_check : -1;
+  if (key != job.spec_waiting_key) {
+    if (job.spec_waiting_key >= 0) spec_waiting_.erase({job.spec_waiting_key, job.id});
+    if (waiting) spec_waiting_.emplace(key, job.id);
+    job.spec_waiting_key = key;
+  }
+  if (running && !waiting) {
+    spec_due_.insert(job.id);
+  } else {
+    spec_due_.erase(job.id);
+  }
 }
 
 void JobTracker::set_task_spec(TaskId id, TaskSpec spec) {
@@ -159,7 +188,7 @@ void JobTracker::set_task_spec(TaskId id, TaskSpec spec) {
   job.remaining_bytes -= remaining_contrib(task);
   task.spec = std::move(spec);
   job.remaining_bytes += remaining_contrib(task);
-  job.spec_next_check = 0;
+  set_spec_next_check(job, 0);
   reindex_job(job);
 }
 
@@ -168,7 +197,7 @@ void JobTracker::set_task_progress(Task& task, double progress) {
   job.remaining_bytes -= remaining_contrib(task);
   task.progress = progress;
   job.remaining_bytes += remaining_contrib(task);
-  job.spec_next_check = 0;
+  set_spec_next_check(job, 0);
   reindex_job(job);
 }
 
@@ -638,19 +667,29 @@ void JobTracker::maybe_speculate(const TrackerStatus& status, int free_maps, int
                                  HeartbeatResponse& response) {
   if (!cfg_.speculative_execution) return;
   if (free_maps <= 0 && free_reduces <= 0) return;
+  const SimTime now = sim_.now();
+  // Between mutations of its attempt set, a job's ETAs are known linear
+  // functions of time, so the previous scan computed the earliest moment
+  // the slowness threshold could next be crossed — before that, this
+  // heartbeat's scan provably launches nothing. Jobs wait in spec_waiting_
+  // under that bound; the ones whose time has come become due now.
+  while (!spec_waiting_.empty() && spec_waiting_.begin()->first <= now) {
+    const JobId jid = spec_waiting_.begin()->second;
+    spec_waiting_.erase(spec_waiting_.begin());
+    jobs_[jid.value()].spec_waiting_key = -1;
+    spec_due_.insert(jid);
+  }
+  // The due set holds exactly the running jobs with spec_next_check <=
+  // now, in ascending id — the jobs, and the order, of a filtered walk of
+  // running_jobs_. Snapshot it: judging a job refiles it.
+  spec_due_scratch_.assign(spec_due_.begin(), spec_due_.end());
   std::uint64_t scanned = 0;
-  for (JobId jid : running_jobs_) {
+  for (JobId jid : spec_due_scratch_) {
     if (free_maps <= 0 && free_reduces <= 0) break;
     Job& job = jobs_[jid.value()];
     // Per-job budget of concurrently racing copies — a maintained count,
     // not a scan.
     if (job.speculating >= cfg_.speculative_cap) continue;
-    const SimTime now = sim_.now();
-    // Between mutations of its attempt set, a job's ETAs are known linear
-    // functions of time, so the previous scan computed the earliest
-    // moment the slowness threshold could next be crossed — before that,
-    // this heartbeat's scan provably launches nothing.
-    if (now < job.spec_next_check) continue;
     // Estimate time-to-completion for every attempt old enough to judge.
     // ETA = remaining work / observed rate = (1-p) * elapsed / p; a stuck
     // attempt (p ≈ 0) estimates infinite. The job mean is taken over the
@@ -703,7 +742,7 @@ void JobTracker::maybe_speculate(const TrackerStatus& status, int free_maps, int
     if (eta_count == 0) {
       // No trustworthy baseline; one can only appear when a young attempt
       // graduates past min-runtime (or a mutation resets the cache).
-      job.spec_next_check = next_join;
+      set_spec_next_check(job, next_join);
       continue;
     }
     const double mean = eta_sum / eta_count;
@@ -733,10 +772,10 @@ void JobTracker::maybe_speculate(const TrackerStatus& status, int free_maps, int
       // real crossing is not. The graduation bound is exact — no margin.
       if (cross < kTimeNever) cross -= 1e-6 * std::max(1.0, std::abs(cross));
       const SimTime bound = std::min(next_join, cross);
-      job.spec_next_check = bound > now ? bound : 0;
+      set_spec_next_check(job, bound > now ? bound : 0);
       continue;
     }
-    job.spec_next_check = 0;
+    set_spec_next_check(job, 0);
     // Candidates are scanned in ascending task id, which breaks ETA ties
     // deterministically.
     for (const auto& [tid, eta] : spec_scratch_) {
@@ -1299,6 +1338,23 @@ void JobTracker::audit(std::vector<std::string>& violations) const {
     if (schedulable_jobs_.contains(jid) != should_schedule) {
       flag(jid, should_schedule ? " missing from" : " stale in", " the schedulable-jobs index");
     }
+    const bool should_park = job.state == JobState::Running && !job.suspended.empty();
+    if (parked_jobs_.contains(jid) != should_park) {
+      flag(jid, should_park ? " missing from" : " stale in", " the parked-jobs index");
+    }
+    const bool due = spec_due_.contains(jid);
+    const bool waiting = job.spec_waiting_key >= 0;
+    if (waiting && !spec_waiting_.contains({job.spec_waiting_key, jid})) {
+      flag(jid, " records waiting key ", job.spec_waiting_key,
+           " but is not filed under it in the speculation index");
+    }
+    if (job.state == JobState::Running && cfg_.speculative_execution && due == waiting) {
+      flag(jid, due ? " is both due and waiting" : " is neither due nor waiting",
+           " in the speculation index");
+    }
+    if (due && job.spec_next_check > sim_.now()) {
+      flag(jid, " is due for a speculation scan before its bound ", job.spec_next_check);
+    }
     if (speculating != job.speculating) {
       flag(jid, " counts ", job.speculating, " racing copies but ", speculating, " are bound");
     }
@@ -1320,6 +1376,29 @@ void JobTracker::audit(std::vector<std::string>& violations) const {
     if (job.state == JobState::Failed && job.completed_at < 0) {
       flag(jid, " marked Failed without a completion time");
     }
+  }
+  // The speculation due/waiting index holds running jobs only, each
+  // waiting entry under its job's current scan bound, at most once.
+  if (!cfg_.speculative_execution && (!spec_due_.empty() || !spec_waiting_.empty())) {
+    flag("speculation index kept while speculative execution is off");
+  }
+  for (JobId jid : spec_due_) {
+    if (jid.value() >= jobs_.size() || jobs_[jid.value()].state != JobState::Running) {
+      flag(jid, " is due for a speculation scan but not running");
+    }
+  }
+  FlatIdSet<JobId> seen;
+  for (const auto& [key, jid] : spec_waiting_) {
+    if (jid.value() >= jobs_.size() || jobs_[jid.value()].state != JobState::Running) {
+      flag(jid, " waits for a speculation scan but is not running");
+      continue;
+    }
+    const Job& job = jobs_[jid.value()];
+    if (key != job.spec_next_check || key != job.spec_waiting_key) {
+      flag(jid, " waits under key ", key, " but its scan bound is ", job.spec_next_check);
+    }
+    if (seen.contains(jid)) flag(jid, " waits twice in the speculation index");
+    seen.insert(jid);
   }
 }
 

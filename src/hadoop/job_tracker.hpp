@@ -144,6 +144,10 @@ class JobTracker final : public InvariantAuditor {
   [[nodiscard]] const FlatIdSet<JobId>& schedulable_jobs() const noexcept {
     return schedulable_jobs_;
   }
+
+  /// Running jobs with at least one SUSPENDED task, ascending id — the
+  /// only jobs a scheduler's parked-victim resume sweep can act on.
+  [[nodiscard]] const FlatIdSet<JobId>& parked_jobs() const noexcept { return parked_jobs_; }
   [[nodiscard]] bool all_jobs_done() const;
   [[nodiscard]] TaskTracker* tracker(TrackerId id);
   [[nodiscard]] NodeId master_node() const noexcept { return master_; }
@@ -170,6 +174,17 @@ class JobTracker final : public InvariantAuditor {
   /// the preempt-order refusal path mid-heartbeat).
   void testing_blacklist_tracker(TrackerId id) {
     if (TrackerSlot* s = slot(id)) s->blacklisted = true;
+  }
+  /// Testing-only: file a job in the parked-jobs index without a
+  /// suspended task, so the index audit fires.
+  void testing_corrupt_parked_index(JobId id) { parked_jobs_.insert(id); }
+  /// Testing-only: drop a job from the speculation due/waiting index, so
+  /// the index audit fires.
+  void testing_unfile_spec(JobId id) {
+    Job& job = job_ref(id);
+    spec_due_.erase(id);
+    spec_waiting_.erase({job.spec_waiting_key, id});
+    job.spec_waiting_key = -1;
   }
 
  private:
@@ -226,10 +241,17 @@ class JobTracker final : public InvariantAuditor {
   /// remaining-bytes total exact.
   void set_task_progress(Task& task, double progress);
   /// Refile `job` in the derived job indexes (jobs_by_remaining_,
-  /// schedulable_jobs_) after anything that can move its key or
-  /// membership: remaining-bytes changes, unassigned-pool transitions,
-  /// job completion or failure.
+  /// schedulable_jobs_, parked_jobs_, the speculation due/waiting sets)
+  /// after anything that can move its key or membership: remaining-bytes
+  /// changes, unassigned-pool or suspended-set transitions, job
+  /// completion or failure.
   void reindex_job(Job& job);
+  /// Single write path for Job::spec_next_check: keeps the job filed in
+  /// the speculation due/waiting index.
+  void set_spec_next_check(Job& job, SimTime at);
+  /// File a running job as due (spec_next_check <= now) or waiting under
+  /// its spec_next_check; unfile a finished one. Speculation on only.
+  void file_spec(Job& job);
   /// File the tracker in the lease wheel at last_heartbeat + expiry.
   void file_lease(std::uint32_t idx);
 
@@ -308,6 +330,17 @@ class JobTracker final : public InvariantAuditor {
   FlatIdSet<JobId> running_jobs_;
   std::set<std::pair<Bytes, JobId>> jobs_by_remaining_;
   FlatIdSet<JobId> schedulable_jobs_;
+  FlatIdSet<JobId> parked_jobs_;
+  /// Speculation due-time index, maintained only while speculative
+  /// execution is on: every running job is either due (its scan bound
+  /// has passed, so the next straggler scan judges it) or waiting, keyed
+  /// by (spec_next_check, id). maybe_speculate promotes the waiting jobs
+  /// whose time has come and walks only the due set.
+  FlatIdSet<JobId> spec_due_;
+  std::set<std::pair<SimTime, JobId>> spec_waiting_;
+  /// Snapshot of spec_due_ for one scan (the scan refiles what it judges);
+  /// a member so the per-heartbeat scan reuses one allocation.
+  std::vector<JobId> spec_due_scratch_;
   /// Straggler-scan scratch (candidate attempts of one job); a member so
   /// the per-heartbeat scan reuses one allocation.
   std::vector<std::pair<TaskId, double>> spec_scratch_;

@@ -49,6 +49,12 @@ struct PolicyOptions {
 struct Outcome {
   Decision decision = Decision::Wait;  ///< after any demotion
   bool issued = false;  ///< the JobTracker accepted the resulting order
+
+  /// An accepted order that changes a task. A Wait order is accepted but
+  /// leaves the victim running, so it is no preemption.
+  [[nodiscard]] bool changes_task() const noexcept {
+    return issued && decision != Decision::Wait;
+  }
 };
 
 class PreemptionPolicy {
@@ -79,5 +85,10 @@ class PreemptionPolicy {
   trace::Counter* ctr_demotions_;
   trace::Counter* ctr_refused_;
 };
+
+/// Execute one scheduler preemption order: through `engine` when the
+/// scheduler has a policy, else with `primitive` directly.
+Outcome issue(PreemptionPolicy* engine, Preemptor& preemptor, TaskId victim,
+              PreemptPrimitive primitive);
 
 }  // namespace osap::policy

@@ -50,8 +50,10 @@ void CapacityScheduler::attached() {
 }
 
 bool CapacityScheduler::issue_preemption(TaskId victim) {
-  if (policy_engine_) return policy_engine_->preempt(*preemptor_, victim).issued;
-  return preemptor_->preempt(victim, options_.primitive);
+  const policy::Outcome out = policy::issue(policy_engine_ ? &*policy_engine_ : nullptr,
+                                            *preemptor_, victim, options_.primitive);
+  if (out.changes_task()) ++preemptions_;
+  return out.issued;
 }
 
 void CapacityScheduler::job_added(JobId id) {
@@ -128,7 +130,6 @@ void CapacityScheduler::check_guarantees() {
     OSAP_LOG(Info, kLog) << "queue '" << q.name << "' under its guarantee; preempting "
                          << victim << " from queue '" << donor->name << "'";
     if (issue_preemption(victim)) {
-      ++preemptions_;
       satisfied_at_[q.name] = now;
     }
   }

@@ -54,6 +54,8 @@ class CapacityScheduler : public Scheduler {
   std::vector<TaskId> assign(const TrackerStatus& status) override;
   void job_added(JobId id) override;
 
+  /// Accepted preemption orders that changed a task; Wait orders leave
+  /// their victim running and are not counted.
   [[nodiscard]] int preemptions_issued() const noexcept { return preemptions_; }
   /// Guaranteed whole slots of a queue (floor of fraction * slots, >= 1).
   [[nodiscard]] int guaranteed_slots(const std::string& queue) const;
@@ -65,6 +67,7 @@ class CapacityScheduler : public Scheduler {
   [[nodiscard]] const std::string& queue_of(JobId id) const;
   [[nodiscard]] bool queue_has_demand(const std::string& queue) const;
   void check_guarantees();
+  /// Issue one order for `victim`; true when the JobTracker accepted it.
   bool issue_preemption(TaskId victim);
 
   Options options_;

@@ -18,8 +18,10 @@ void DeadlineScheduler::attached() {
 }
 
 bool DeadlineScheduler::issue_preemption(TaskId victim) {
-  if (policy_engine_) return policy_engine_->preempt(*preemptor_, victim).issued;
-  return preemptor_->preempt(victim, options_.primitive);
+  const policy::Outcome out = policy::issue(policy_engine_ ? &*policy_engine_ : nullptr,
+                                            *preemptor_, victim, options_.primitive);
+  if (out.changes_task()) ++preemptions_;
+  return out.issued;
 }
 
 Duration DeadlineScheduler::remaining_work(JobId id) const {
@@ -125,7 +127,6 @@ std::vector<TaskId> DeadlineScheduler::assign(const TrackerStatus& status) {
     OSAP_LOG(Info, kLog) << "deadline of job " << most_urgent << " at risk (laxity "
                          << laxity(most_urgent) << "s); preempting " << victim;
     if (issue_preemption(victim)) {
-      ++preemptions_;
       --urgent_unserved;
       --budget;
     } else {

@@ -53,11 +53,14 @@ class DeadlineScheduler : public Scheduler {
   [[nodiscard]] Duration remaining_work(JobId id) const;
   /// deadline − now − remaining work; negative means a likely miss.
   [[nodiscard]] Duration laxity(JobId id) const;
+  /// Accepted preemption orders that changed a task; Wait orders leave
+  /// their victim running and are not counted.
   [[nodiscard]] int preemptions_issued() const noexcept { return preemptions_; }
 
  private:
   void attached() override;
   [[nodiscard]] std::vector<JobId> edf_order() const;
+  /// Issue one order for `victim`; true when the JobTracker accepted it.
   bool issue_preemption(TaskId victim);
 
   Options options_;

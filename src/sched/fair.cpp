@@ -17,8 +17,10 @@ void FairScheduler::attached() {
 }
 
 bool FairScheduler::issue_preemption(TaskId victim) {
-  if (policy_engine_) return policy_engine_->preempt(*preemptor_, victim).issued;
-  return preemptor_->preempt(victim, options_.primitive);
+  const policy::Outcome out = policy::issue(policy_engine_ ? &*policy_engine_ : nullptr,
+                                            *preemptor_, victim, options_.primitive);
+  if (out.changes_task()) ++preemptions_;
+  return out.issued;
 }
 
 void FairScheduler::job_added(JobId id) { satisfied_at_[id] = jt_->now(); }
@@ -59,7 +61,7 @@ void FairScheduler::resume_where_possible(const TrackerStatus& status, int& free
     }
   }
   if (!someone_waiting) {
-    for (JobId jid : jt_->running_jobs()) {
+    for (JobId jid : jt_->parked_jobs()) {
       // request_resume only queues; transitions happen in on_heartbeat.
       for (TaskId tid : jt_->job(jid).suspended) resume_policy_->request_resume(tid);
     }
@@ -99,7 +101,6 @@ void FairScheduler::check_starvation() {
     OSAP_LOG(Info, kLog) << "job " << jid << " starved; preempting " << victim << " of job "
                          << fattest << " via " << to_string(options_.primitive);
     if (issue_preemption(victim)) {
-      ++preemptions_;
       satisfied_at_[jid] = now;  // give the command time to take effect
     }
   }

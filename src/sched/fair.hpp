@@ -43,6 +43,8 @@ class FairScheduler : public Scheduler {
   void job_added(JobId id) override;
   void job_completed(JobId id) override;
 
+  /// Accepted preemption orders that changed a task; Wait orders leave
+  /// their victim running and are not counted.
   [[nodiscard]] int preemptions_issued() const noexcept { return preemptions_; }
 
  private:
@@ -53,6 +55,7 @@ class FairScheduler : public Scheduler {
   [[nodiscard]] double fair_share() const;
   void check_starvation();
   void resume_where_possible(const TrackerStatus& status, int& free_maps);
+  /// Issue one order for `victim`; true when the JobTracker accepted it.
   bool issue_preemption(TaskId victim);
 
   Options options_;

@@ -1,6 +1,7 @@
 #include "sched/hfsp.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/log.hpp"
 #include "hadoop/job_tracker.hpp"
@@ -18,8 +19,10 @@ void HfspScheduler::attached() {
 }
 
 bool HfspScheduler::issue_preemption(TaskId victim) {
-  if (policy_engine_) return policy_engine_->preempt(*preemptor_, victim).issued;
-  return preemptor_->preempt(victim, options_.primitive);
+  const policy::Outcome out = policy::issue(policy_engine_ ? &*policy_engine_ : nullptr,
+                                            *preemptor_, victim, options_.primitive);
+  if (out.changes_task()) ++preemptions_;
+  return out.issued;
 }
 
 Bytes HfspScheduler::remaining_size(JobId id) const {
@@ -37,6 +40,31 @@ JobId HfspScheduler::head_job() const {
   return by_remaining.empty() ? JobId{} : by_remaining.begin()->second;
 }
 
+JobId HfspScheduler::fattest_job(JobId head, const std::vector<TaskId>& refused,
+                                 std::vector<EvictionCandidate>& pool) const {
+  // The largest remaining size wins, the lowest id breaks ties: walk the
+  // (remaining, id) index from its largest size down, each size's run of
+  // ids in ascending order, and stop at the first job with a victim left.
+  const auto& by_remaining = jt_->jobs_by_remaining();
+  auto run_end = by_remaining.end();
+  while (run_end != by_remaining.begin()) {
+    auto run_begin = std::prev(run_end);
+    while (run_begin != by_remaining.begin() && std::prev(run_begin)->first == run_begin->first) {
+      --run_begin;
+    }
+    for (auto it = run_begin; it != run_end; ++it) {
+      if (it->second == head) continue;
+      pool = collect_candidates(*jt_, it->second);
+      std::erase_if(pool, [&refused](const EvictionCandidate& c) {
+        return std::find(refused.begin(), refused.end(), c.task) != refused.end();
+      });
+      if (!pool.empty()) return it->second;
+    }
+    run_end = run_begin;
+  }
+  return JobId{};
+}
+
 std::vector<TaskId> HfspScheduler::assign(const TrackerStatus& status) {
   std::vector<TaskId> out;
   const JobId head = head_job();
@@ -51,7 +79,7 @@ std::vector<TaskId> HfspScheduler::assign(const TrackerStatus& status) {
   // slot can sit next to a parked task until the victim's job finally
   // becomes head — which for the fattest job means the end of the run.
   if (jt_->job(head).unassigned.empty()) {
-    for (JobId jid : jt_->running_jobs()) {
+    for (JobId jid : jt_->parked_jobs()) {
       if (jid == head) continue;
       for (TaskId tid : jt_->job(jid).suspended) resume_policy_->request_resume(tid);
     }
@@ -83,32 +111,14 @@ std::vector<TaskId> HfspScheduler::assign(const TrackerStatus& status) {
   int budget = options_.max_preemptions_per_heartbeat;
   std::vector<TaskId> refused;
   while (head_pending > 0 && budget > 0) {
-    JobId fattest;
-    Bytes fattest_size = 0;
     std::vector<EvictionCandidate> pool;
-    for (JobId jid : jt_->running_jobs()) {
-      if (jid == head) continue;
-      const Bytes size = remaining_size(jid);
-      if (size <= fattest_size) continue;
-      std::vector<EvictionCandidate> candidates = collect_candidates(*jt_, jid);
-      candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                      [&refused](const EvictionCandidate& c) {
-                                        return std::find(refused.begin(), refused.end(),
-                                                         c.task) != refused.end();
-                                      }),
-                       candidates.end());
-      if (candidates.empty()) continue;
-      fattest = jid;
-      fattest_size = size;
-      pool = std::move(candidates);
-    }
+    const JobId fattest = fattest_job(head, refused, pool);
     if (!fattest.valid()) break;
     const TaskId victim = pick_victim(options_.eviction, pool);
     if (!victim.valid()) break;
     OSAP_LOG(Info, kLog) << "preempting " << victim << " of job " << fattest << " for head job "
                          << head;
     if (issue_preemption(victim)) {
-      ++preemptions_;
       --head_pending;
       --budget;
     } else {
@@ -116,9 +126,10 @@ std::vector<TaskId> HfspScheduler::assign(const TrackerStatus& status) {
     }
   }
 
-  // Leftover slots go to the remaining jobs, smallest first. Only jobs
-  // with a non-empty unassigned pool can take one; skipping the rest
-  // skips exactly the iterations the old running-jobs walk wasted.
+  // Leftover slots go to the remaining jobs in ascending id, one task per
+  // pass. Only jobs with a non-empty unassigned pool can take one;
+  // skipping the rest skips exactly the iterations the old running-jobs
+  // walk wasted.
   while (free_maps > 0 || free_reduces > 0) {
     bool assigned = false;
     for (JobId jid : jt_->schedulable_jobs()) {

@@ -42,11 +42,20 @@ class HfspScheduler : public Scheduler {
 
   /// Remaining virtual size (bytes of unprocessed input) of a job.
   [[nodiscard]] Bytes remaining_size(JobId id) const;
+  /// Accepted preemption orders that changed a task; Wait orders leave
+  /// their victim running and are not counted.
   [[nodiscard]] int preemptions_issued() const noexcept { return preemptions_; }
 
  private:
   void attached() override;
   [[nodiscard]] JobId head_job() const;
+  /// The running job other than `head` to preempt: the largest remaining
+  /// size with a victim candidate not in `refused`, lowest id on ties.
+  /// Fills `pool` with that job's candidates minus `refused`; invalid
+  /// when no job has one.
+  [[nodiscard]] JobId fattest_job(JobId head, const std::vector<TaskId>& refused,
+                                  std::vector<EvictionCandidate>& pool) const;
+  /// Issue one order for `victim`; true when the JobTracker accepted it.
   bool issue_preemption(TaskId victim);
 
   Options options_;

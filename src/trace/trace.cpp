@@ -58,29 +58,21 @@ TraceValue::TraceValue(std::uint64_t v) : json_(std::to_string(v)) {}
 TraceValue::TraceValue(int v) : json_(std::to_string(v)) {}
 
 TrackId Tracer::track(const std::string& process, const std::string& thread) {
-  for (TrackId i = 0; i < tracks_.size(); ++i) {
-    if (tracks_[i].process == process && tracks_[i].thread == thread) return i;
+  const auto [entry, added] =
+      process_index_.try_emplace(process, static_cast<std::uint32_t>(processes_.size()));
+  if (added) processes_.push_back(Process{&entry->first, {}});
+  Process& p = processes_[entry->second];
+  for (const TrackId id : p.tracks) {
+    if (thread_names_[tracks_[id].thread] == thread) return id;
   }
-  Track t;
-  t.process = process;
-  t.thread = thread;
-  // pid: order of first appearance of the process name; tid: per-process
-  // registration order. Both 1-based — Perfetto hides pid/tid 0 quirks.
-  int max_tid = 0;
-  for (const Track& existing : tracks_) {
-    if (existing.process == process) {
-      t.pid = existing.pid;
-      max_tid = std::max(max_tid, existing.tid);
-    }
-  }
-  if (t.pid == 0) {
-    int max_pid = 0;
-    for (const Track& existing : tracks_) max_pid = std::max(max_pid, existing.pid);
-    t.pid = max_pid + 1;
-  }
-  t.tid = max_tid + 1;
-  tracks_.push_back(std::move(t));
-  return static_cast<TrackId>(tracks_.size() - 1);
+  auto name = std::find(thread_names_.begin(), thread_names_.end(), thread);
+  if (name == thread_names_.end()) name = thread_names_.insert(name, thread);
+  const auto id = static_cast<TrackId>(tracks_.size());
+  p.tracks.push_back(id);
+  tracks_.push_back(Track{entry->second,
+                          static_cast<std::uint32_t>(name - thread_names_.begin()),
+                          static_cast<int>(p.tracks.size())});
+  return id;
 }
 
 void Tracer::push(TrackId t, char phase, const char* name, std::uint64_t id, TraceArgs args) {
@@ -142,29 +134,30 @@ void Tracer::write_json(std::ostream& os) const {
     os << line;
   };
 
-  // Metadata first: one process_name per unique pid, one thread_name per
-  // track, in registration order (deterministic by construction).
-  std::vector<int> named_pids;
+  // Metadata first: one process_name per unique pid (at its first track,
+  // tid 1), one thread_name per track, in registration order
+  // (deterministic by construction).
   for (const Track& t : tracks_) {
-    if (std::find(named_pids.begin(), named_pids.end(), t.pid) == named_pids.end()) {
-      named_pids.push_back(t.pid);
-      emit("{\"ph\":\"M\",\"pid\":" + std::to_string(t.pid) +
-           ",\"name\":\"process_name\",\"args\":{\"name\":" + quote(t.process) + "}}");
+    const std::string pid = std::to_string(t.process + 1);
+    if (t.tid == 1) {
+      emit("{\"ph\":\"M\",\"pid\":" + pid + ",\"name\":\"process_name\",\"args\":{\"name\":" +
+           quote(*processes_[t.process].name) + "}}");
     }
-    emit("{\"ph\":\"M\",\"pid\":" + std::to_string(t.pid) + ",\"tid\":" + std::to_string(t.tid) +
-         ",\"name\":\"thread_name\",\"args\":{\"name\":" + quote(t.thread) + "}}");
+    emit("{\"ph\":\"M\",\"pid\":" + pid + ",\"tid\":" + std::to_string(t.tid) +
+         ",\"name\":\"thread_name\",\"args\":{\"name\":" + quote(thread_names_[t.thread]) + "}}");
   }
 
   for (const TraceEvent& e : events_) {
     const Track& t = tracks_[e.track];
     std::string line = "{\"ph\":\"";
     line.push_back(e.phase);
-    line += "\",\"pid\":" + std::to_string(t.pid) + ",\"tid\":" + std::to_string(t.tid) +
+    line += "\",\"pid\":" + std::to_string(t.process + 1) + ",\"tid\":" + std::to_string(t.tid) +
             ",\"ts\":" + std::to_string(to_us(e.ts)) + ",\"name\":" + quote(e.name);
     if (e.phase == 'b' || e.phase == 'e') {
       // Async events need a category + id for matching; the subsystem
       // (thread) name doubles as the category.
-      line += ",\"cat\":" + quote(t.thread) + ",\"id\":" + quote(std::to_string(e.id));
+      line += ",\"cat\":" + quote(thread_names_[t.thread]) + ",\"id\":" +
+              quote(std::to_string(e.id));
     }
     if (e.phase == 'i') line += ",\"s\":\"t\"";
     if (!e.args.empty()) {

@@ -29,6 +29,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -80,7 +81,8 @@ class Tracer {
 
   /// Register (or look up) the track for a (process, thread) pair.
   /// Deduplicating and callable while disabled, so constructors can cache
-  /// the id unconditionally.
+  /// the id unconditionally. One hash lookup plus a scan of the process's
+  /// own few tracks, so a cluster registers its tracks in linear time.
   TrackId track(const std::string& process, const std::string& thread);
 
   /// Synchronous span: begin/end nest per track.
@@ -106,11 +108,17 @@ class Tracer {
   [[nodiscard]] std::string to_json() const;
 
  private:
+  /// pid = process + 1 (order of first appearance); tid = registration
+  /// order within the process. Both 1-based — Perfetto hides pid/tid 0
+  /// quirks.
   struct Track {
-    std::string process;
-    std::string thread;
-    int pid = 0;
+    std::uint32_t process = 0;  ///< index into processes_
+    std::uint32_t thread = 0;   ///< index into thread_names_
     int tid = 0;
+  };
+  struct Process {
+    const std::string* name = nullptr;  ///< key in process_index_
+    std::vector<TrackId> tracks;        ///< in tid order
   };
 
   [[nodiscard]] SimTime now() const { return clock_ ? clock_() : 0.0; }
@@ -119,6 +127,13 @@ class Tracer {
   bool enabled_ = false;
   std::function<SimTime()> clock_;
   std::vector<Track> tracks_;
+  std::vector<Process> processes_;
+  /// Each name is stored once: process names as keys here (node-based,
+  /// so Process::name stays valid), thread names below.
+  std::unordered_map<std::string, std::uint32_t> process_index_;
+  /// The distinct subsystem names ("kernel", "vmm", ...): a handful,
+  /// whatever the cluster size, so a scan finds one.
+  std::vector<std::string> thread_names_;
   std::vector<TraceEvent> events_;
 };
 

@@ -86,6 +86,34 @@ TEST(Registry, RunPrefixesLabelsAndDumpHasSections) {
   EXPECT_EQ(reg.size(), 1u);
 }
 
+// Removal leaves the survivors in registration order (through the
+// compaction that reclaims removed slots), and retired cost rows are
+// reported first, in removal order.
+TEST(Registry, RemovalKeepsRegistrationAndRetirementOrder) {
+  AuditRegistry reg;
+  std::vector<std::unique_ptr<FakeAuditor>> auditors;
+  for (int i = 0; i < 8; ++i) {
+    std::string label = "a";
+    label += std::to_string(i);
+    auditors.push_back(std::make_unique<FakeAuditor>(label));
+    auditors.back()->complaints.push_back("x");
+    reg.add(auditors.back().get());
+  }
+  for (int i : {3, 0, 6, 1, 4}) reg.remove(auditors[static_cast<std::size_t>(i)].get());
+  reg.remove(auditors[0].get());  // removing twice is a no-op
+  reg.add(auditors[0].get());     // re-registering appends
+  EXPECT_EQ(reg.size(), 4u);
+  std::vector<std::string> violations;
+  reg.sweep(violations);
+  EXPECT_EQ(violations, (std::vector<std::string>{"[a2] x", "[a5] x", "[a7] x", "[a0] x"}));
+  std::vector<std::string> rows;
+  for (const AuditRegistry::AuditorCost& cost : reg.costs()) {
+    rows.push_back(cost.label + ":" + std::to_string(cost.swept));
+  }
+  EXPECT_EQ(rows, (std::vector<std::string>{"a3:0", "a0:0", "a6:0", "a1:0", "a4:0", "a2:1",
+                                            "a5:1", "a7:1", "a0:1"}));
+}
+
 TEST(Watchdog, ZeroDelayLivelockFailsFastWithDefaults) {
   Simulation sim;
   // A pathological event that re-schedules itself at the current instant:
@@ -197,6 +225,35 @@ TEST(JobTrackerAudit, TrackerBindingCorruptionFires) {
   cluster.job_tracker().testing_corrupt_task_binding(ds->task_of("tl", 0));
   expect_audit_failure([&] { cluster.sim().audit_now(); },
                        {"bound to no tracker", "--- jobtracker ---"});
+}
+
+// The job-level indexes (parked jobs; speculation due/waiting) are
+// recomputed from task states by the audit, so a stale entry fires.
+TEST(JobTrackerAudit, ParkedIndexCorruptionFires) {
+  Cluster cluster(paper_cluster());
+  auto sched = std::make_unique<DummyScheduler>(cluster);
+  DummyScheduler* ds = sched.get();
+  cluster.set_scheduler(std::move(sched));
+  ds->submit_at(0.05, single_task_job("tl", 0, light_map_task()));
+  cluster.sim().run_until(10.0);
+  cluster.job_tracker().testing_corrupt_parked_index(ds->job_of("tl"));
+  expect_audit_failure([&] { cluster.sim().audit_now(); },
+                       {"stale in the parked-jobs index", "--- jobtracker ---"});
+}
+
+TEST(JobTrackerAudit, SpeculationIndexCorruptionFires) {
+  ClusterConfig cfg = paper_cluster();
+  cfg.hadoop.speculative_execution = true;
+  Cluster cluster(cfg);
+  auto sched = std::make_unique<DummyScheduler>(cluster);
+  DummyScheduler* ds = sched.get();
+  cluster.set_scheduler(std::move(sched));
+  ds->submit_at(0.05, single_task_job("tl", 0, light_map_task()));
+  cluster.sim().run_until(10.0);
+  cluster.sim().audit_now();  // clean so far
+  cluster.job_tracker().testing_unfile_spec(ds->job_of("tl"));
+  expect_audit_failure([&] { cluster.sim().audit_now(); },
+                       {"is neither due nor waiting in the speculation index"});
 }
 
 TEST(ProtocolAudit, AckWithoutRequestFires) {

@@ -96,6 +96,65 @@ TEST(Hfsp, RefusedOrderDoesNotConsumePreemptionBudget) {
   EXPECT_EQ(jt.job(big).state, JobState::Succeeded);
 }
 
+// The Wait primitive accepts an order but changes no task, so it is no
+// preemption: the small-job scenario above issues none under it.
+TEST(Hfsp, WaitOrdersAreNotCountedAsPreemptions) {
+  ClusterConfig cfg = paper_cluster();
+  Cluster cluster(cfg);
+  HfspScheduler::Options options;
+  options.primitive = PreemptPrimitive::Wait;
+  auto sched = std::make_unique<HfspScheduler>(options);
+  HfspScheduler* hfsp = sched.get();
+  cluster.set_scheduler(std::move(sched));
+  JobId big, tiny;
+  cluster.sim().at(0.05,
+                   [&] { big = cluster.submit(single_task_job("big", 0, light_map_task())); });
+  cluster.sim().at(20.0, [&] {
+    tiny = cluster.submit(single_task_job("tiny", 0, light_map_task(64 * MiB)));
+  });
+  cluster.run();
+  EXPECT_EQ(hfsp->preemptions_issued(), 0);
+  // The tiny job waited for the big one's slot.
+  EXPECT_GT(cluster.job_tracker().job(tiny).completed_at,
+            cluster.job_tracker().job(big).completed_at);
+}
+
+// Two non-head jobs of equal remaining size: the victim comes from the
+// lower id, as the old ascending-id walk with its strict-greater test
+// picked.
+TEST(Hfsp, EqualSizedVictimJobsTieBreakOnLowerId) {
+  ClusterConfig cfg = paper_cluster();
+  cfg.hadoop.map_slots = 2;
+  Cluster cluster(cfg);
+  auto sched = std::make_unique<HfspScheduler>();
+  HfspScheduler* hfsp = sched.get();
+  cluster.set_scheduler(std::move(sched));
+  JobTracker& jt = cluster.job_tracker();
+  // Identical single-task jobs launched on the same heartbeat make the
+  // same progress, so their remaining sizes stay equal.
+  JobId first, second, tiny;
+  cluster.sim().at(0.05, [&] {
+    first = cluster.submit(single_task_job("first", 0, light_map_task()));
+    second = cluster.submit(single_task_job("second", 0, light_map_task()));
+  });
+  cluster.sim().at(20.0, [&] {
+    ASSERT_EQ(jt.task(jt.job(first).tasks[0]).state, TaskState::Running);
+    ASSERT_EQ(jt.task(jt.job(second).tasks[0]).state, TaskState::Running);
+    ASSERT_EQ(hfsp->remaining_size(first), hfsp->remaining_size(second));
+    ASSERT_LT(hfsp->remaining_size(first), 512 * MiB);
+    tiny = cluster.submit(single_task_job("tiny", 0, light_map_task(64 * MiB)));
+  });
+  std::vector<TaskId> suspend_requests;
+  jt.add_event_hook([&](const ClusterEvent& ev) {
+    if (ev.type == ClusterEventType::TaskSuspendRequested) suspend_requests.push_back(ev.task);
+  });
+  cluster.run();
+
+  ASSERT_FALSE(suspend_requests.empty());
+  EXPECT_EQ(suspend_requests.front(), jt.job(first).tasks[0]);
+  EXPECT_EQ(jt.job(tiny).state, JobState::Succeeded);
+}
+
 TEST(Hfsp, RemainingSizeShrinksWithProgress) {
   ClusterConfig cfg = paper_cluster();
   Cluster cluster(cfg);

@@ -19,6 +19,7 @@
 
 #include "fault/injector.hpp"
 #include "sched/dummy.hpp"
+#include "trace/context.hpp"
 #include "workload/profiles.hpp"
 
 namespace osap {
@@ -442,6 +443,48 @@ TEST(Speculation, NearTieRaceResolvesDeterministically) {
   EXPECT_EQ(first.winner, second.winner);
   EXPECT_EQ(first.won, second.won);
   EXPECT_EQ(first.killed, second.killed);
+}
+
+// --- the scan's due-time bound (docs/SPECULATION.md) ------------------------
+
+// Between progress reports a job's ETAs are linear in time, so a scan that
+// finds no straggler files the job under the earliest instant one could
+// appear; heartbeats before then do not judge it. Here both task hosts
+// hang, so no report reaches the JobTracker while idle node 2 keeps
+// heartbeating with a free slot.
+TEST(Speculation, ScanSkipsAJobUntilItsBoundOrAProgressReport) {
+  Cluster cluster(spec_cluster(3));
+  EventCounts events(cluster.job_tracker());
+  auto sched = std::make_unique<DummyScheduler>(cluster);
+  DummyScheduler& ds = *sched;
+  cluster.set_scheduler(std::move(sched));
+  ds.submit_at(0.05, two_map_job(cluster, "even"));
+  FaultInjector injector(cluster, parse_fault_plan("hang 10 0 25\nhang 10 1 25\n"));
+  // SpeculationScan {calls, work} sampled at fixed instants; work counts
+  // judged attempts.
+  std::map<int, trace::HotPathProfiler::Stats> scan;
+  for (int t : {10, 14, 24, 34, 44}) {
+    cluster.sim().at(t, [&cluster, &scan, t] {
+      scan[t] = cluster.sim().trace().profiler().stats(trace::HotPath::SpeculationScan);
+    });
+  }
+  cluster.run();
+
+  // [10, 14]: both attempts are younger than the 15 s minimum runtime, so
+  // the job waits for the first graduation and nothing is judged.
+  EXPECT_GT(scan[14].calls, scan[10].calls);
+  EXPECT_EQ(scan[14].work, scan[10].work);
+  // (14, 24]: the graduations make the job due without any report; it is
+  // judged, both ETAs grow alike, and no crossing is ahead of it.
+  EXPECT_GT(scan[24].work, scan[14].work);
+  // (24, 34]: still no report, so the bound holds and every scan skips it.
+  EXPECT_GT(scan[34].calls, scan[24].calls);
+  EXPECT_EQ(scan[34].work, scan[24].work);
+  // The hosts heartbeat again at 35: their progress reports make the job
+  // due, and node 2's next heartbeat judges both attempts again.
+  EXPECT_GE(scan[44].work, scan[34].work + 2);
+  EXPECT_EQ(events.of(ClusterEventType::TaskSpeculated), 0);
+  EXPECT_EQ(cluster.job_tracker().job(ds.job_of("even")).state, JobState::Succeeded);
 }
 
 // --- observability -----------------------------------------------------------

@@ -81,6 +81,30 @@ TEST(Tracer, MetadataNamesEveryProcessAndThread) {
   EXPECT_NE(json.find("\"name\":\"jobtracker\""), std::string::npos) << json;
 }
 
+// pids follow each process's first appearance, tids the registration
+// order within one process, however the registrations interleave.
+TEST(Tracer, PidsAndTidsFollowRegistrationOrder) {
+  Tracer tracer;
+  tracer.set_enabled(true);
+  EXPECT_EQ(tracer.track("node0", "kernel"), 0u);
+  EXPECT_EQ(tracer.track("cluster", "jobtracker"), 1u);
+  EXPECT_EQ(tracer.track("node0", "vmm"), 2u);
+  EXPECT_EQ(tracer.track("node1", "kernel"), 3u);
+  EXPECT_EQ(tracer.track("cluster", "scheduler"), 4u);
+  EXPECT_EQ(tracer.track("node0", "kernel"), 0u);
+  EXPECT_EQ(tracer.to_json(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+            "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"node0\"}},\n"
+            "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"kernel\"}},\n"
+            "{\"ph\":\"M\",\"pid\":2,\"name\":\"process_name\",\"args\":{\"name\":\"cluster\"}},\n"
+            "{\"ph\":\"M\",\"pid\":2,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"jobtracker\"}},\n"
+            "{\"ph\":\"M\",\"pid\":1,\"tid\":2,\"name\":\"thread_name\",\"args\":{\"name\":\"vmm\"}},\n"
+            "{\"ph\":\"M\",\"pid\":3,\"name\":\"process_name\",\"args\":{\"name\":\"node1\"}},\n"
+            "{\"ph\":\"M\",\"pid\":3,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"kernel\"}},\n"
+            "{\"ph\":\"M\",\"pid\":2,\"tid\":2,\"name\":\"thread_name\",\"args\":{\"name\":\"scheduler\"}}\n"
+            "]}\n");
+}
+
 TEST(Tracer, AsyncSpansMatchByNameAndId) {
   Tracer tracer;
   tracer.set_enabled(true);
