@@ -14,11 +14,7 @@
 #include "policy/policy.hpp"
 #include "revoke/lifetime.hpp"
 #include "revoke/manager.hpp"
-#include "sched/capacity.hpp"
-#include "sched/deadline.hpp"
-#include "sched/fair.hpp"
-#include "sched/fifo.hpp"
-#include "sched/hfsp.hpp"
+#include "sched/factory.hpp"
 #include "trace/names.hpp"
 #include "workload/dummy_config.hpp"
 #include "workload/swim.hpp"
@@ -195,9 +191,9 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
 
   const PreemptPrimitive primitive = parse_primitive(d.get("primitive", "susp"));
 
-  // policy=off keeps the legacy direct-primitive path (digest-stable);
-  // policy=primitive lifts the `primitive` axis into the engine; any
-  // decision spelling forces that decision for every victim.
+  // policy=off gives the engine the `primitive` axis as its one rule and
+  // no memory probe; policy=primitive adds the probe (swap demotion);
+  // any decision spelling forces that decision for every victim.
   std::optional<policy::PolicyOptions> popts;
   const std::string policy_spec = d.get("policy", "off");
   if (policy_spec != "off") {
@@ -213,35 +209,7 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
   std::vector<CapacityScheduler::QueueConfig> queues =
       parse_queue_spec(d.get("queues", "default:1"));
 
-  const std::string which = d.get("scheduler", "hfsp");
-  if (which == "hfsp") {
-    HfspScheduler::Options options;
-    options.primitive = primitive;
-    options.policy = popts;
-    cluster.set_scheduler(std::make_unique<HfspScheduler>(options));
-  } else if (which == "fair") {
-    FairScheduler::Options options;
-    options.cluster_map_slots = cfg.num_nodes * cfg.hadoop.map_slots;
-    options.primitive = primitive;
-    options.policy = popts;
-    cluster.set_scheduler(std::make_unique<FairScheduler>(options));
-  } else if (which == "deadline") {
-    DeadlineScheduler::Options options;
-    options.primitive = primitive;
-    options.policy = popts;
-    cluster.set_scheduler(std::make_unique<DeadlineScheduler>(options));
-  } else if (which == "capacity") {
-    CapacityScheduler::Options options;
-    options.cluster_map_slots = cfg.num_nodes * cfg.hadoop.map_slots;
-    options.queues = queues;
-    options.primitive = primitive;
-    options.policy = popts;
-    cluster.set_scheduler(std::make_unique<CapacityScheduler>(options));
-  } else if (which == "fifo") {
-    cluster.set_scheduler(std::make_unique<FifoScheduler>());
-  } else {
-    throw SimError("unknown scheduler '" + which + "' (fifo|fair|hfsp|capacity|deadline)");
-  }
+  cluster.set_scheduler(make_scheduler(d.get("scheduler", "hfsp"), primitive, popts, queues));
 
   SwimConfig swim;
   swim.jobs = static_cast<int>(d.num("jobs", 12));

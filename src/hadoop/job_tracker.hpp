@@ -150,6 +150,8 @@ class JobTracker final : public InvariantAuditor {
   [[nodiscard]] const FlatIdSet<JobId>& parked_jobs() const noexcept { return parked_jobs_; }
   [[nodiscard]] bool all_jobs_done() const;
   [[nodiscard]] TaskTracker* tracker(TrackerId id);
+  [[nodiscard]] std::size_t tracker_count() const noexcept { return tracker_slots_.size(); }
+  [[nodiscard]] const HadoopConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] NodeId master_node() const noexcept { return master_; }
   [[nodiscard]] SimTime now() const noexcept { return sim_.now(); }
   [[nodiscard]] Simulation& sim() noexcept { return sim_; }

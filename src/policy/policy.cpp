@@ -80,10 +80,4 @@ Outcome PreemptionPolicy::preempt(Preemptor& preemptor, TaskId victim) {
   return out;
 }
 
-Outcome issue(PreemptionPolicy* engine, Preemptor& preemptor, TaskId victim,
-              PreemptPrimitive primitive) {
-  if (engine != nullptr) return engine->preempt(preemptor, victim);
-  return Outcome{decision_from_primitive(primitive), preemptor.preempt(victim, primitive)};
-}
-
 }  // namespace osap::policy

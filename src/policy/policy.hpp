@@ -86,9 +86,4 @@ class PreemptionPolicy {
   trace::Counter* ctr_refused_;
 };
 
-/// Execute one scheduler preemption order: through `engine` when the
-/// scheduler has a policy, else with `primitive` directly.
-Outcome issue(PreemptionPolicy* engine, Preemptor& preemptor, TaskId victim,
-              PreemptPrimitive primitive);
-
 }  // namespace osap::policy

@@ -13,47 +13,37 @@ namespace {
 constexpr const char* kLog = "capacity";
 }
 
-CapacityScheduler::CapacityScheduler(Options options) : options_(std::move(options)) {
+namespace {
+
+/// Per-queue `preempt=` attributes are policy rules keyed on the donor
+/// (preempted) queue, appended to the scheduler's engine options.
+/// Parsing here also validates them before the scheduler is attached.
+policy::PolicyOptions queue_engine_options(const CapacityScheduler::Options& options) {
+  policy::PolicyOptions popts = engine_options(options.primitive, options.policy);
+  for (const CapacityScheduler::QueueConfig& q : options.queues) {
+    if (!q.preempt.empty()) popts.per_queue.emplace_back(q.name, policy::parse_decision(q.preempt));
+  }
+  return popts;
+}
+
+}  // namespace
+
+CapacityScheduler::CapacityScheduler(Options options)
+    : PreemptiveScheduler(queue_engine_options(options), options.resume_locality_threshold),
+      options_(std::move(options)) {
   OSAP_CHECK_MSG(!options_.queues.empty(), "capacity scheduler needs at least one queue");
   double total = 0;
   for (const QueueConfig& q : options_.queues) {
     OSAP_CHECK_MSG(q.capacity > 0 && q.capacity <= 1.0,
                    "queue '" << q.name << "' capacity must be in (0,1]");
-    if (!q.preempt.empty()) policy::parse_decision(q.preempt);  // validate eagerly
     total += q.capacity;
   }
   OSAP_CHECK_MSG(total <= 1.0 + 1e-9, "queue capacities exceed the cluster");
 }
 
 void CapacityScheduler::attached() {
-  preemptor_.emplace(*jt_);
-  resume_policy_.emplace(*jt_, options_.resume_locality_threshold);
+  PreemptiveScheduler::attached();
   for (const QueueConfig& q : options_.queues) satisfied_at_[q.name] = jt_->now();
-
-  // Per-queue `preempt=` attributes are policy rules keyed on the donor
-  // (preempted) queue; they merge over the explicit engine options, or
-  // bring up an engine of their own with `primitive` as the default.
-  bool any_queue_rule = false;
-  for (const QueueConfig& q : options_.queues) any_queue_rule |= !q.preempt.empty();
-  if (options_.policy || any_queue_rule) {
-    policy::PolicyOptions popts =
-        options_.policy ? *options_.policy : policy::PolicyOptions{};
-    if (!options_.policy) {
-      popts.default_decision = policy::decision_from_primitive(options_.primitive);
-    }
-    for (const QueueConfig& q : options_.queues) {
-      if (q.preempt.empty()) continue;
-      popts.per_queue.emplace_back(q.name, policy::parse_decision(q.preempt));
-    }
-    policy_engine_.emplace(*jt_, std::move(popts));
-  }
-}
-
-bool CapacityScheduler::issue_preemption(TaskId victim) {
-  const policy::Outcome out = policy::issue(policy_engine_ ? &*policy_engine_ : nullptr,
-                                            *preemptor_, victim, options_.primitive);
-  if (out.changes_task()) ++preemptions_;
-  return out.issued;
 }
 
 void CapacityScheduler::job_added(JobId id) {
@@ -70,7 +60,7 @@ int CapacityScheduler::guaranteed_slots(const std::string& queue) const {
   for (const QueueConfig& q : options_.queues) {
     if (q.name == queue) {
       return std::max(1, static_cast<int>(std::floor(
-                             q.capacity * options_.cluster_map_slots + 1e-9)));
+                             q.capacity * cluster_map_slots() + 1e-9)));
     }
   }
   return 0;
@@ -129,7 +119,7 @@ void CapacityScheduler::check_guarantees() {
     if (!victim.valid()) continue;
     OSAP_LOG(Info, kLog) << "queue '" << q.name << "' under its guarantee; preempting "
                          << victim << " from queue '" << donor->name << "'";
-    if (issue_preemption(victim)) {
+    if (preempt(victim)) {
       satisfied_at_[q.name] = now;
     }
   }
@@ -137,9 +127,6 @@ void CapacityScheduler::check_guarantees() {
 
 std::vector<TaskId> CapacityScheduler::assign(const TrackerStatus& status) {
   check_guarantees();
-
-  int free_maps = status.free_map_slots;
-  int free_reduces = status.free_reduce_slots;
 
   // Resume suspended tasks only if their queue is within its guarantee
   // and no under-guarantee queue is waiting for a slot.
@@ -152,12 +139,10 @@ std::vector<TaskId> CapacityScheduler::assign(const TrackerStatus& status) {
   }
   if (!someone_waiting) {
     // Suspended tasks of every job, Running or not (request_resume only
-    // queues; transitions happen in on_heartbeat below).
-    for (JobId jid : jt_->jobs_in_order()) {
-      for (TaskId tid : jt_->job(jid).suspended) resume_policy_->request_resume(tid);
-    }
+    // queues; transitions happen in resume_pending below).
+    for (JobId jid : jt_->jobs_in_order()) request_resume(jid);
   }
-  free_maps -= resume_policy_->on_heartbeat(status);
+  FreeSlots free = resume_pending(status);
 
   // Serve queues by how far below their guarantee they sit.
   std::vector<const QueueConfig*> order;
@@ -172,18 +157,8 @@ std::vector<TaskId> CapacityScheduler::assign(const TrackerStatus& status) {
   std::vector<TaskId> out;
   for (const QueueConfig* q : order) {
     for (JobId jid : jt_->running_jobs()) {
-      const Job& job = jt_->job(jid);
       if (queue_of(jid) != q->name) continue;
-      for (TaskId tid : job.unassigned) {
-        const Task& task = jt_->task(tid);
-        if (task.spec.preferred_node.valid() && task.spec.preferred_node != status.node) {
-          continue;
-        }
-        int& budget = task.spec.type == TaskType::Map ? free_maps : free_reduces;
-        if (budget <= 0) continue;
-        out.push_back(tid);
-        --budget;
-      }
+      for (TaskId tid : jt_->job(jid).unassigned) take_slot(tid, status, free, out);
     }
   }
   return out;

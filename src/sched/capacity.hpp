@@ -14,15 +14,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "policy/policy.hpp"
 #include "preempt/eviction.hpp"
-#include "preempt/preemptor.hpp"
-#include "preempt/resume_locality.hpp"
-#include "hadoop/scheduler.hpp"
+#include "sched/preemptive.hpp"
 
 namespace osap {
 
-class CapacityScheduler : public Scheduler {
+class CapacityScheduler : public PreemptiveScheduler {
  public:
   struct QueueConfig {
     std::string name;
@@ -36,16 +33,17 @@ class CapacityScheduler : public Scheduler {
     /// is set).
     std::string preempt;
   };
+  /// Capacities are fractions of the cluster's map slots: registered
+  /// trackers × map slots per tracker.
   struct Options {
-    int cluster_map_slots = 2;
     std::vector<QueueConfig> queues;
     Duration preemption_timeout = seconds(15);
     PreemptPrimitive primitive = PreemptPrimitive::Suspend;
     EvictionPolicy eviction = EvictionPolicy::LastLaunched;
     Duration resume_locality_threshold = seconds(30);
     /// Explicit policy engine; per-queue `preempt=` attributes are
-    /// merged on top of it. Left empty, an engine is still built when
-    /// any queue sets `preempt=` (default = `primitive`).
+    /// merged on top of it. Left empty, the engine's default rule is
+    /// `primitive`.
     std::optional<policy::PolicyOptions> policy;
   };
 
@@ -54,9 +52,6 @@ class CapacityScheduler : public Scheduler {
   std::vector<TaskId> assign(const TrackerStatus& status) override;
   void job_added(JobId id) override;
 
-  /// Accepted preemption orders that changed a task; Wait orders leave
-  /// their victim running and are not counted.
-  [[nodiscard]] int preemptions_issued() const noexcept { return preemptions_; }
   /// Guaranteed whole slots of a queue (floor of fraction * slots, >= 1).
   [[nodiscard]] int guaranteed_slots(const std::string& queue) const;
   /// Live tasks currently charged to a queue.
@@ -67,15 +62,9 @@ class CapacityScheduler : public Scheduler {
   [[nodiscard]] const std::string& queue_of(JobId id) const;
   [[nodiscard]] bool queue_has_demand(const std::string& queue) const;
   void check_guarantees();
-  /// Issue one order for `victim`; true when the JobTracker accepted it.
-  bool issue_preemption(TaskId victim);
 
   Options options_;
-  std::optional<Preemptor> preemptor_;
-  std::optional<ResumeLocalityPolicy> resume_policy_;
-  std::optional<policy::PreemptionPolicy> policy_engine_;
   std::unordered_map<std::string, SimTime> satisfied_at_;
-  int preemptions_ = 0;
 };
 
 }  // namespace osap

@@ -11,19 +11,6 @@ namespace {
 constexpr const char* kLog = "deadline";
 }
 
-void DeadlineScheduler::attached() {
-  preemptor_.emplace(*jt_);
-  resume_policy_.emplace(*jt_, options_.resume_locality_threshold);
-  if (options_.policy) policy_engine_.emplace(*jt_, *options_.policy);
-}
-
-bool DeadlineScheduler::issue_preemption(TaskId victim) {
-  const policy::Outcome out = policy::issue(policy_engine_ ? &*policy_engine_ : nullptr,
-                                            *preemptor_, victim, options_.primitive);
-  if (out.changes_task()) ++preemptions_;
-  return out.issued;
-}
-
 Duration DeadlineScheduler::remaining_work(JobId id) const {
   // The not-done index iterates in ascending task id — the same order the
   // old filtered walk of job.tasks summed in, so this floating-point
@@ -71,28 +58,19 @@ std::vector<TaskId> DeadlineScheduler::assign(const TrackerStatus& status) {
     }
   }
   for (JobId jid : order) {
-    const Job& job = jt_->job(jid);
-    if (job.spec.deadline < 0 && deadline_job_waiting) continue;
-    // request_resume only queues; transitions happen in on_heartbeat.
-    for (TaskId tid : job.suspended) resume_policy_->request_resume(tid);
+    // request_resume only queues; transitions happen in resume_pending.
+    if (jt_->job(jid).spec.deadline >= 0 || !deadline_job_waiting) request_resume(jid);
   }
-  int free_maps = status.free_map_slots;
-  int free_reduces = status.free_reduce_slots;
-  free_maps -= resume_policy_->on_heartbeat(status);
+  FreeSlots free = resume_pending(status);
 
   // EDF assignment.
   int urgent_unserved = 0;
   JobId most_urgent;
   for (JobId jid : order) {
     for (TaskId tid : jt_->job(jid).unassigned) {
-      const Task& task = jt_->task(tid);
-      if (task.spec.preferred_node.valid() && task.spec.preferred_node != status.node) continue;
-      int& budget = task.spec.type == TaskType::Map ? free_maps : free_reduces;
-      if (budget > 0) {
-        out.push_back(tid);
-        --budget;
-      } else if (const Duration slack = laxity(jid);
-                 slack < options_.laxity_margin && slack >= options_.give_up_laxity) {
+      if (take_slot(tid, status, free, out) != Take::NoSlot) continue;
+      if (const Duration slack = laxity(jid);
+          slack < options_.laxity_margin && slack >= options_.give_up_laxity) {
         // A deadline is at risk, still plausibly meetable, and there is
         // no slot for it. Hopeless jobs (slack below the give-up cutoff)
         // fall back to plain EDF rather than preempting a slot they can
@@ -126,7 +104,7 @@ std::vector<TaskId> DeadlineScheduler::assign(const TrackerStatus& status) {
     if (!victim.valid()) break;
     OSAP_LOG(Info, kLog) << "deadline of job " << most_urgent << " at risk (laxity "
                          << laxity(most_urgent) << "s); preempting " << victim;
-    if (issue_preemption(victim)) {
+    if (preempt(victim)) {
       --urgent_unserved;
       --budget;
     } else {

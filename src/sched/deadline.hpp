@@ -12,16 +12,14 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 
-#include "policy/policy.hpp"
 #include "preempt/eviction.hpp"
-#include "preempt/preemptor.hpp"
-#include "preempt/resume_locality.hpp"
-#include "hadoop/scheduler.hpp"
+#include "sched/preemptive.hpp"
 
 namespace osap {
 
-class DeadlineScheduler : public Scheduler {
+class DeadlineScheduler : public PreemptiveScheduler {
  public:
   struct Options {
     PreemptPrimitive primitive = PreemptPrimitive::Suspend;
@@ -39,13 +37,16 @@ class DeadlineScheduler : public Scheduler {
     /// the synthetic mapper's parse rate).
     double seconds_per_byte = 1.0 / (6.7 * static_cast<double>(MiB));
     int max_preemptions_per_heartbeat = 1;
-    /// Per-queue policy engine (docs/POLICY.md). When set, eviction
-    /// orders route through it and `primitive` is ignored.
+    /// Per-queue policy engine (docs/POLICY.md). When set, it replaces
+    /// the single rule `primitive` otherwise gives the engine.
     std::optional<policy::PolicyOptions> policy;
   };
 
-  DeadlineScheduler() : options_(Options{}) {}
-  explicit DeadlineScheduler(Options options) : options_(options) {}
+  DeadlineScheduler() : DeadlineScheduler(Options{}) {}
+  explicit DeadlineScheduler(Options options)
+      : PreemptiveScheduler(engine_options(options.primitive, options.policy),
+                            options.resume_locality_threshold),
+        options_(std::move(options)) {}
 
   std::vector<TaskId> assign(const TrackerStatus& status) override;
 
@@ -53,21 +54,11 @@ class DeadlineScheduler : public Scheduler {
   [[nodiscard]] Duration remaining_work(JobId id) const;
   /// deadline − now − remaining work; negative means a likely miss.
   [[nodiscard]] Duration laxity(JobId id) const;
-  /// Accepted preemption orders that changed a task; Wait orders leave
-  /// their victim running and are not counted.
-  [[nodiscard]] int preemptions_issued() const noexcept { return preemptions_; }
 
  private:
-  void attached() override;
   [[nodiscard]] std::vector<JobId> edf_order() const;
-  /// Issue one order for `victim`; true when the JobTracker accepted it.
-  bool issue_preemption(TaskId victim);
 
   Options options_;
-  std::optional<Preemptor> preemptor_;
-  std::optional<ResumeLocalityPolicy> resume_policy_;
-  std::optional<policy::PreemptionPolicy> policy_engine_;
-  int preemptions_ = 0;
 };
 
 }  // namespace osap

@@ -10,19 +10,6 @@ namespace {
 constexpr const char* kLog = "fair";
 }
 
-void FairScheduler::attached() {
-  preemptor_.emplace(*jt_);
-  resume_policy_.emplace(*jt_, options_.resume_locality_threshold);
-  if (options_.policy) policy_engine_.emplace(*jt_, *options_.policy);
-}
-
-bool FairScheduler::issue_preemption(TaskId victim) {
-  const policy::Outcome out = policy::issue(policy_engine_ ? &*policy_engine_ : nullptr,
-                                            *preemptor_, victim, options_.primitive);
-  if (out.changes_task()) ++preemptions_;
-  return out.issued;
-}
-
 void FairScheduler::job_added(JobId id) { satisfied_at_[id] = jt_->now(); }
 
 void FairScheduler::job_completed(JobId id) { satisfied_at_.erase(id); }
@@ -42,11 +29,12 @@ double FairScheduler::fair_share() const {
   for (JobId id : jt_->running_jobs()) {
     if (demand(id) > 0) ++active;
   }
-  if (active == 0) return static_cast<double>(options_.cluster_map_slots);
-  return static_cast<double>(options_.cluster_map_slots) / active;
+  if (active == 0) return static_cast<double>(cluster_map_slots());
+  return static_cast<double>(cluster_map_slots()) / active;
 }
 
-void FairScheduler::resume_where_possible(const TrackerStatus& status, int& free_maps) {
+PreemptiveScheduler::FreeSlots FairScheduler::resume_where_possible(
+    const TrackerStatus& status) {
   // A freed slot first serves starved jobs' unassigned tasks; suspended
   // victims come back only when nobody is waiting below their share —
   // otherwise the scheduler would undo its own preemption on the next
@@ -61,12 +49,9 @@ void FairScheduler::resume_where_possible(const TrackerStatus& status, int& free
     }
   }
   if (!someone_waiting) {
-    for (JobId jid : jt_->parked_jobs()) {
-      // request_resume only queues; transitions happen in on_heartbeat.
-      for (TaskId tid : jt_->job(jid).suspended) resume_policy_->request_resume(tid);
-    }
+    for (JobId jid : jt_->parked_jobs()) request_resume(jid);
   }
-  free_maps -= resume_policy_->on_heartbeat(status);
+  return resume_pending(status);
 }
 
 void FairScheduler::check_starvation() {
@@ -100,7 +85,7 @@ void FairScheduler::check_starvation() {
     if (!victim.valid()) continue;
     OSAP_LOG(Info, kLog) << "job " << jid << " starved; preempting " << victim << " of job "
                          << fattest << " via " << to_string(options_.primitive);
-    if (issue_preemption(victim)) {
+    if (preempt(victim)) {
       satisfied_at_[jid] = now;  // give the command time to take effect
     }
   }
@@ -109,12 +94,10 @@ void FairScheduler::check_starvation() {
 std::vector<TaskId> FairScheduler::assign(const TrackerStatus& status) {
   check_starvation();
 
-  int free_maps = status.free_map_slots;
-  int free_reduces = status.free_reduce_slots;
-  resume_where_possible(status, free_maps);
+  FreeSlots free = resume_where_possible(status);
 
   std::vector<TaskId> out;
-  if (free_maps <= 0 && free_reduces <= 0) return out;
+  if (free.maps <= 0 && free.reduces <= 0) return out;
 
   // Hand slots to jobs in ascending (running / share) order. Sorting the
   // running set then walking it is the same order the old sort-everything-
@@ -125,15 +108,7 @@ std::vector<TaskId> FairScheduler::assign(const TrackerStatus& status) {
     return running_or_pending_command(a) < running_or_pending_command(b);
   });
   for (JobId jid : queue) {
-    const Job& job = jt_->job(jid);
-    for (TaskId tid : job.unassigned) {
-      const Task& task = jt_->task(tid);
-      if (task.spec.preferred_node.valid() && task.spec.preferred_node != status.node) continue;
-      int& budget = task.spec.type == TaskType::Map ? free_maps : free_reduces;
-      if (budget <= 0) continue;
-      out.push_back(tid);
-      --budget;
-    }
+    for (TaskId tid : jt_->job(jid).unassigned) take_slot(tid, status, free, out);
   }
   return out;
 }

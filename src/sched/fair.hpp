@@ -12,59 +12,50 @@
 
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
-#include "policy/policy.hpp"
 #include "preempt/eviction.hpp"
-#include "preempt/preemptor.hpp"
-#include "preempt/resume_locality.hpp"
-#include "sched/fifo.hpp"
+#include "sched/preemptive.hpp"
 
 namespace osap {
 
-class FairScheduler : public Scheduler {
+class FairScheduler : public PreemptiveScheduler {
  public:
+  /// Shares are computed against the cluster's map slots: registered
+  /// trackers × map slots per tracker.
   struct Options {
-    /// Total map slots in the cluster (shares are computed against this).
-    int cluster_map_slots = 2;
     /// How long a job may sit below its fair share before the scheduler
     /// preempts someone.
     Duration preemption_timeout = seconds(15);
     PreemptPrimitive primitive = PreemptPrimitive::Suspend;
     EvictionPolicy eviction = EvictionPolicy::SmallestMemory;
     Duration resume_locality_threshold = seconds(30);
-    /// Per-queue policy engine (docs/POLICY.md). When set, eviction
-    /// orders route through it and `primitive` is ignored.
+    /// Per-queue policy engine (docs/POLICY.md). When set, it replaces
+    /// the single rule `primitive` otherwise gives the engine.
     std::optional<policy::PolicyOptions> policy;
   };
 
-  explicit FairScheduler(Options options) : options_(options) {}
+  explicit FairScheduler(Options options)
+      : PreemptiveScheduler(engine_options(options.primitive, options.policy),
+                            options.resume_locality_threshold),
+        options_(std::move(options)) {}
 
   std::vector<TaskId> assign(const TrackerStatus& status) override;
   void job_added(JobId id) override;
   void job_completed(JobId id) override;
 
-  /// Accepted preemption orders that changed a task; Wait orders leave
-  /// their victim running and are not counted.
-  [[nodiscard]] int preemptions_issued() const noexcept { return preemptions_; }
-
  private:
-  void attached() override;
-
   [[nodiscard]] int running_or_pending_command(JobId id) const;
   [[nodiscard]] int demand(JobId id) const;
   [[nodiscard]] double fair_share() const;
   void check_starvation();
-  void resume_where_possible(const TrackerStatus& status, int& free_maps);
-  /// Issue one order for `victim`; true when the JobTracker accepted it.
-  bool issue_preemption(TaskId victim);
+  /// Queue suspended victims for resumption unless a job below its
+  /// share is waiting, then drive the resumes.
+  FreeSlots resume_where_possible(const TrackerStatus& status);
 
   Options options_;
-  std::optional<Preemptor> preemptor_;
-  std::optional<ResumeLocalityPolicy> resume_policy_;
-  std::optional<policy::PreemptionPolicy> policy_engine_;
   /// When each job last had at least its fair share (or had no demand).
   std::unordered_map<JobId, SimTime> satisfied_at_;
-  int preemptions_ = 0;
 };
 
 }  // namespace osap

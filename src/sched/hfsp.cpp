@@ -12,19 +12,6 @@ namespace {
 constexpr const char* kLog = "hfsp";
 }
 
-void HfspScheduler::attached() {
-  preemptor_.emplace(*jt_);
-  resume_policy_.emplace(*jt_, options_.resume_locality_threshold);
-  if (options_.policy) policy_engine_.emplace(*jt_, *options_.policy);
-}
-
-bool HfspScheduler::issue_preemption(TaskId victim) {
-  const policy::Outcome out = policy::issue(policy_engine_ ? &*policy_engine_ : nullptr,
-                                            *preemptor_, victim, options_.primitive);
-  if (out.changes_task()) ++preemptions_;
-  return out.issued;
-}
-
 Bytes HfspScheduler::remaining_size(JobId id) const {
   // The JobTracker keeps this total exact through its task-state and
   // task-progress choke points: per-task integer contributions are
@@ -71,8 +58,8 @@ std::vector<TaskId> HfspScheduler::assign(const TrackerStatus& status) {
   if (!head.valid()) return out;
 
   // The head job gets its suspended tasks back first (request_resume only
-  // queues; nothing transitions until resume_policy_->on_heartbeat below).
-  for (TaskId tid : jt_->job(head).suspended) resume_policy_->request_resume(tid);
+  // queues; nothing transitions until resume_pending below).
+  request_resume(head);
   // Parked victims of other jobs come back once the head has no queued
   // demand. Kill victims re-enter through the leftover-slot loop below;
   // a suspend victim has no other path back, and without this an idle
@@ -80,26 +67,15 @@ std::vector<TaskId> HfspScheduler::assign(const TrackerStatus& status) {
   // becomes head — which for the fattest job means the end of the run.
   if (jt_->job(head).unassigned.empty()) {
     for (JobId jid : jt_->parked_jobs()) {
-      if (jid == head) continue;
-      for (TaskId tid : jt_->job(jid).suspended) resume_policy_->request_resume(tid);
+      if (jid != head) request_resume(jid);
     }
   }
-  int free_maps = status.free_map_slots;
-  int free_reduces = status.free_reduce_slots;
-  free_maps -= resume_policy_->on_heartbeat(status);
+  FreeSlots free = resume_pending(status);
 
   // Launch the head job's pending tasks.
   int head_pending = 0;
   for (TaskId tid : jt_->job(head).unassigned) {
-    const Task& task = jt_->task(tid);
-    if (task.spec.preferred_node.valid() && task.spec.preferred_node != status.node) continue;
-    int& budget = task.spec.type == TaskType::Map ? free_maps : free_reduces;
-    if (budget > 0) {
-      out.push_back(tid);
-      --budget;
-    } else {
-      ++head_pending;
-    }
+    if (take_slot(tid, status, free, out) == Take::NoSlot) ++head_pending;
   }
 
   // Still starved? Take slots away from the largest job. The budget
@@ -118,7 +94,7 @@ std::vector<TaskId> HfspScheduler::assign(const TrackerStatus& status) {
     if (!victim.valid()) break;
     OSAP_LOG(Info, kLog) << "preempting " << victim << " of job " << fattest << " for head job "
                          << head;
-    if (issue_preemption(victim)) {
+    if (preempt(victim)) {
       --head_pending;
       --budget;
     } else {
@@ -130,20 +106,15 @@ std::vector<TaskId> HfspScheduler::assign(const TrackerStatus& status) {
   // pass. Only jobs with a non-empty unassigned pool can take one;
   // skipping the rest skips exactly the iterations the old running-jobs
   // walk wasted.
-  while (free_maps > 0 || free_reduces > 0) {
+  while (free.maps > 0 || free.reduces > 0) {
     bool assigned = false;
     for (JobId jid : jt_->schedulable_jobs()) {
-      const Job& job = jt_->job(jid);
-      for (TaskId tid : job.unassigned) {
-        const Task& task = jt_->task(tid);
+      for (TaskId tid : jt_->job(jid).unassigned) {
         if (std::find(out.begin(), out.end(), tid) != out.end()) continue;
-        if (task.spec.preferred_node.valid() && task.spec.preferred_node != status.node) continue;
-        int& budget = task.spec.type == TaskType::Map ? free_maps : free_reduces;
-        if (budget <= 0) continue;
-        out.push_back(tid);
-        --budget;
-        assigned = true;
-        break;
+        if (take_slot(tid, status, free, out) == Take::Taken) {
+          assigned = true;
+          break;
+        }
       }
       if (assigned) break;
     }

@@ -10,16 +10,14 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 
-#include "policy/policy.hpp"
 #include "preempt/eviction.hpp"
-#include "preempt/preemptor.hpp"
-#include "preempt/resume_locality.hpp"
-#include "hadoop/scheduler.hpp"
+#include "sched/preemptive.hpp"
 
 namespace osap {
 
-class HfspScheduler : public Scheduler {
+class HfspScheduler : public PreemptiveScheduler {
  public:
   struct Options {
     PreemptPrimitive primitive = PreemptPrimitive::Suspend;
@@ -29,25 +27,23 @@ class HfspScheduler : public Scheduler {
     /// small jobs doesn't thrash suspend/resume cycles — §III-A's note
     /// that schedulers should avoid paying the cycle cost too often).
     int max_preemptions_per_heartbeat = 1;
-    /// Per-queue policy engine (docs/POLICY.md). When set, eviction
-    /// orders route through it and `primitive` is ignored; when empty
-    /// the scheduler applies `primitive` directly, as before.
+    /// Per-queue policy engine (docs/POLICY.md). When set, it replaces
+    /// the single rule `primitive` otherwise gives the engine.
     std::optional<policy::PolicyOptions> policy;
   };
 
-  HfspScheduler() : options_(Options{}) {}
-  explicit HfspScheduler(Options options) : options_(options) {}
+  HfspScheduler() : HfspScheduler(Options{}) {}
+  explicit HfspScheduler(Options options)
+      : PreemptiveScheduler(engine_options(options.primitive, options.policy),
+                            options.resume_locality_threshold),
+        options_(std::move(options)) {}
 
   std::vector<TaskId> assign(const TrackerStatus& status) override;
 
   /// Remaining virtual size (bytes of unprocessed input) of a job.
   [[nodiscard]] Bytes remaining_size(JobId id) const;
-  /// Accepted preemption orders that changed a task; Wait orders leave
-  /// their victim running and are not counted.
-  [[nodiscard]] int preemptions_issued() const noexcept { return preemptions_; }
 
  private:
-  void attached() override;
   [[nodiscard]] JobId head_job() const;
   /// The running job other than `head` to preempt: the largest remaining
   /// size with a victim candidate not in `refused`, lowest id on ties.
@@ -55,14 +51,8 @@ class HfspScheduler : public Scheduler {
   /// when no job has one.
   [[nodiscard]] JobId fattest_job(JobId head, const std::vector<TaskId>& refused,
                                   std::vector<EvictionCandidate>& pool) const;
-  /// Issue one order for `victim`; true when the JobTracker accepted it.
-  bool issue_preemption(TaskId victim);
 
   Options options_;
-  std::optional<Preemptor> preemptor_;
-  std::optional<ResumeLocalityPolicy> resume_policy_;
-  std::optional<policy::PreemptionPolicy> policy_engine_;
-  int preemptions_ = 0;
 };
 
 }  // namespace osap

@@ -44,10 +44,7 @@
 #include "metrics/stats.hpp"
 #include "metrics/table.hpp"
 #include "metrics/timeline.hpp"
-#include "sched/capacity.hpp"
-#include "sched/deadline.hpp"
-#include "sched/fair.hpp"
-#include "sched/hfsp.hpp"
+#include "sched/factory.hpp"
 #include "workload/dummy_config.hpp"
 #include "workload/swim.hpp"
 #include "workload/trace_file.hpp"
@@ -245,31 +242,7 @@ int cmd_trace(const Args& args) {
   Cluster cluster(cfg);
   const PreemptPrimitive primitive = parse_primitive(args.get("primitive", "susp"));
   const std::string which = args.get("scheduler", "hfsp");
-  if (which == "hfsp") {
-    HfspScheduler::Options options;
-    options.primitive = primitive;
-    cluster.set_scheduler(std::make_unique<HfspScheduler>(options));
-  } else if (which == "fair") {
-    FairScheduler::Options options;
-    options.cluster_map_slots = cfg.num_nodes * cfg.hadoop.map_slots;
-    options.primitive = primitive;
-    cluster.set_scheduler(std::make_unique<FairScheduler>(options));
-  } else if (which == "deadline") {
-    DeadlineScheduler::Options options;
-    options.primitive = primitive;
-    cluster.set_scheduler(std::make_unique<DeadlineScheduler>(options));
-  } else if (which == "capacity") {
-    CapacityScheduler::Options options;
-    options.cluster_map_slots = cfg.num_nodes * cfg.hadoop.map_slots;
-    options.queues = {{"default", 1.0}};
-    options.primitive = primitive;
-    cluster.set_scheduler(std::make_unique<CapacityScheduler>(options));
-  } else if (which == "fifo") {
-    cluster.set_scheduler(std::make_unique<FifoScheduler>());
-  } else {
-    std::fprintf(stderr, "unknown scheduler '%s'\n", which.c_str());
-    return 1;
-  }
+  cluster.set_scheduler(make_scheduler(which, primitive));
 
   std::vector<SwimJob> trace;
   if (args.flags.contains("file")) {
