@@ -89,11 +89,19 @@ void Cluster::run(const std::function<void()>& tick) {
   // AND no out-of-band work — a trace arrival still due, say — is still
   // in flight.
   std::uint64_t fired = 0;
-  while (!(!jt_.jobs_in_order().empty() && jt_.all_jobs_done() && open_work_ == 0) &&
-         sim_.step()) {
-    // The tick stride is in fired events, not time, so it is identical
-    // across runs; the hook itself never touches simulation state.
-    if (tick && (++fired & 0x7ff) == 0) tick();
+  try {
+    while (!(!jt_.jobs_in_order().empty() && jt_.all_jobs_done() && open_work_ == 0) &&
+           sim_.step()) {
+      // The tick stride is in fired events, not time, so it is identical
+      // across runs; the hook itself never touches simulation state.
+      if (tick && (++fired & 0x7ff) == 0) tick();
+    }
+  } catch (...) {
+    // An aborted run (audit violation, watchdog, tick abort) still leaves
+    // its trace and counters up to the abort: they are what explains it.
+    // The abort stays the error reported, even if a file cannot be written.
+    (void)write_observability_files();
+    throw;
   }
   if (cfg_.print_trace_digest) {
     std::ostringstream os;
@@ -101,17 +109,23 @@ void Cluster::run(const std::function<void()>& tick) {
     OSAP_LOG(Info, "cluster") << "trace digest " << os.str() << " after "
                               << std::dec << sim_.events_processed() << " events";
   }
+  const std::string unwritten = write_observability_files();
+  OSAP_CHECK_MSG(unwritten.empty(), "cannot open " << unwritten);
+}
+
+std::string Cluster::write_observability_files() const {
   const trace::TraceConfig& tc = sim_.trace().config();
   if (!tc.trace_file.empty()) {
     std::ofstream out(tc.trace_file);
-    OSAP_CHECK_MSG(out.good(), "cannot open trace file " << tc.trace_file);
+    if (!out.good()) return "trace file " + tc.trace_file;
     sim_.trace().tracer().write_json(out);
   }
   if (!tc.counters_file.empty()) {
     std::ofstream out(tc.counters_file);
-    OSAP_CHECK_MSG(out.good(), "cannot open counters file " << tc.counters_file);
+    if (!out.good()) return "counters file " + tc.counters_file;
     sim_.write_observability_json(out);
   }
+  return "";
 }
 
 void Cluster::run_until(SimTime t) { sim_.run_until(t); }

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -96,6 +97,10 @@ class Cluster {
   }
 
  private:
+  /// Write the configured --trace/--counters files, if any. Returns the
+  /// file that could not be opened, "" when every write went through.
+  [[nodiscard]] std::string write_observability_files() const;
+
   ClusterConfig cfg_;
   Simulation sim_;
   Network net_;

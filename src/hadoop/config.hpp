@@ -15,12 +15,6 @@ struct HadoopConfig {
   /// usable right away rather than at the next periodic heartbeat. The
   /// ablation bench studies the difference.
   bool oob_on_suspend = true;
-  /// Push the "all maps done" barrier release to reduces immediately (a
-  /// JobTracker-initiated out-of-band message) instead of piggybacking it
-  /// on each reduce's next periodic heartbeat — cuts up to one heartbeat
-  /// interval of shuffle-barrier latency (mirrors Hadoop's completion
-  /// out-of-band heartbeat).
-  bool oob_maps_done = true;
   /// Concurrent task slots per TaskTracker. The paper's single-slot setup
   /// ("the number of running tasks per machine is limited") maps to 1.
   int map_slots = 2;

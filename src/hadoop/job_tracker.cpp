@@ -92,8 +92,10 @@ JobTracker::~JobTracker() {
 
 void JobTracker::register_tracker(TaskTracker& tracker) {
   const auto idx = static_cast<std::uint32_t>(tracker_slots_.size());
-  const bool inserted = tracker_index_.emplace(tracker.id(), idx).second;
-  OSAP_CHECK_MSG(inserted, tracker.id() << " registered twice");
+  OSAP_CHECK_MSG(slot_index(tracker.id()) == kNoSlot, tracker.id() << " registered twice");
+  const std::uint64_t v = tracker.id().value();
+  if (v >= tracker_index_.size()) tracker_index_.resize(v + 1, kNoSlot);
+  tracker_index_[v] = idx;
   TrackerSlot slot;
   slot.tracker = &tracker;
   slot.id = tracker.id();
@@ -565,7 +567,6 @@ void JobTracker::task_terminal(Task& task, TaskState state) {
     std::erase_if(it->second, [](const KillOrder& order) { return !order.attempt_only; });
     if (it->second.empty()) must_kill_.erase(it);
   }
-  maps_done_pending_.erase(task.id);
 }
 
 void JobTracker::task_succeeded(Task& t, NodeId node) {
@@ -588,9 +589,6 @@ void JobTracker::clear_speculative(Task& task) {
   task.spec_node = NodeId{};
   task.spec_progress = 0;
   task.spec_started_at = -1;
-  if (const auto it = maps_done_pending_.find(task.id); it != maps_done_pending_.end()) {
-    it->second.spec_sent = false;
-  }
 }
 
 void JobTracker::promote_speculative(Task& task) {
@@ -609,10 +607,6 @@ void JobTracker::promote_speculative(Task& task) {
   task.checkpointed = false;
   task.use_checkpoint = false;
   command_sent_.erase(task.id);
-  // The copy's MapsDone bookkeeping becomes the primary's.
-  if (const auto it = maps_done_pending_.find(task.id); it != maps_done_pending_.end()) {
-    it->second.primary_sent = it->second.spec_sent;
-  }
   clear_speculative(task);
   tracer_->instant(trk_, "speculation_promoted", {{"task", task.id.value()}});
   emit(ClusterEventType::SpeculationPromoted, task.job, task.id, task.node);
@@ -637,29 +631,23 @@ void JobTracker::maybe_release_reduces(JobId id) {
     tracer_->async_begin(shuffle_trk_, "maps_done_delivery", tid.value(),
                          {{"task", tid.value()}});
     // A racing reduce holds the shuffle barrier in *both* attempts;
-    // release each through its own tracker.
-    bool parked = false;
+    // release each through its own tracker. The release is pushed at
+    // once instead of waiting for the reduce's next periodic heartbeat.
+    // It goes through deliver_actions, not on_response, so it never
+    // consumes the tracker's heartbeat round-trip bookkeeping.
     for (const auto& [target, node] :
          {std::pair{t.tracker, t.node}, std::pair{t.spec_tracker, t.spec_node}}) {
       if (!target.valid()) continue;
       TaskTracker* tt = tracker(target);
-      if (cfg_.oob_maps_done && tt != nullptr) {
-        // Push the barrier release immediately instead of parking it until
-        // the reduce's next periodic heartbeat. Goes through
-        // deliver_actions, not on_response, so it never consumes the
-        // tracker's heartbeat round-trip bookkeeping.
-        ctr_oob_maps_done_->add();
-        ctr_actions_->add();
-        HeartbeatResponse push;
-        push.actions.push_back(TaskAction{ActionKind::MapsDone, tid, {}});
-        net_.send(master_, node, [tt, push = std::move(push)]() mutable {
-          tt->deliver_actions(std::move(push));
-        });
-      } else {
-        parked = true;
-      }
+      OSAP_CHECK_MSG(tt != nullptr, tid << " is bound to unregistered " << target);
+      ctr_oob_maps_done_->add();
+      ctr_actions_->add();
+      HeartbeatResponse push;
+      push.actions.push_back(TaskAction{ActionKind::MapsDone, tid, {}});
+      net_.send(master_, node, [tt, push = std::move(push)]() mutable {
+        tt->deliver_actions(std::move(push));
+      });
     }
-    if (parked) maps_done_pending_.emplace(tid, MapsDonePending{});
   }
 }
 
@@ -1102,17 +1090,6 @@ void JobTracker::on_heartbeat(TrackerStatus status) {
       sent = true;
     }
   }
-  for (auto& [tid, pending] : maps_done_pending_) {
-    const Task& t = tasks_[tid.value()];
-    if (!pending.primary_sent && t.tracker == status.tracker) {
-      response.actions.push_back(TaskAction{ActionKind::MapsDone, tid, {}});
-      pending.primary_sent = true;
-    }
-    if (!pending.spec_sent && t.speculating() && t.spec_tracker == status.tracker) {
-      response.actions.push_back(TaskAction{ActionKind::MapsDone, tid, {}});
-      pending.spec_sent = true;
-    }
-  }
 
   // Ask the scheduler for work for the free slots. Blacklisted and
   // revocation-draining trackers still heartbeat (their in-flight acks
@@ -1264,7 +1241,6 @@ void JobTracker::audit(std::vector<std::string>& violations) const {
     }
   };
   check_command_map(command_sent_, "suspend/resume");
-  check_command_map(maps_done_pending_, "maps-done");
   // Kill orders get their own rules: an attempt-only order may outlive the
   // task's live states (it tracks a dying race loser), but every order
   // must target a registered, non-lost tracker, at most once per tracker.
@@ -1404,8 +1380,7 @@ void JobTracker::audit(std::vector<std::string>& violations) const {
 
 void JobTracker::dump(std::ostream& os) const {
   os << jobs_.size() << " jobs, " << tasks_.size() << " tasks; pending commands: "
-     << command_sent_.size() << " susp/res, " << must_kill_.size() << " kill, "
-     << maps_done_pending_.size() << " maps-done\n";
+     << command_sent_.size() << " susp/res, " << must_kill_.size() << " kill\n";
   std::vector<TrackerId> lost;
   std::vector<TrackerId> blacklisted;
   for (const TrackerSlot& s : tracker_slots_) {

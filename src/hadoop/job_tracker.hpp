@@ -18,7 +18,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -200,12 +199,6 @@ class JobTracker final : public InvariantAuditor {
     bool sent = false;
     bool attempt_only = false;
   };
-  /// Per-attempt delivery flags for a parked MapsDone barrier release
-  /// (only used when `oob_maps_done` is off).
-  struct MapsDonePending {
-    bool primary_sent = false;
-    bool spec_sent = false;
-  };
   /// Flat per-tracker hot state, index-addressed in registration order
   /// (docs/PERF.md). Everything a heartbeat or lease sweep touches lives
   /// here in one cache line instead of four hash maps.
@@ -226,13 +219,18 @@ class JobTracker final : public InvariantAuditor {
     int failures = 0;
   };
 
+  /// The tracker's slot index, kNoSlot when it never registered.
+  [[nodiscard]] std::uint32_t slot_index(TrackerId id) const {
+    const std::uint64_t v = id.value();
+    return v < tracker_index_.size() ? tracker_index_[v] : kNoSlot;
+  }
   [[nodiscard]] const TrackerSlot* slot(TrackerId id) const {
-    const auto it = tracker_index_.find(id);
-    return it == tracker_index_.end() ? nullptr : &tracker_slots_[it->second];
+    const std::uint32_t idx = slot_index(id);
+    return idx == kNoSlot ? nullptr : &tracker_slots_[idx];
   }
   [[nodiscard]] TrackerSlot* slot(TrackerId id) {
-    const auto it = tracker_index_.find(id);
-    return it == tracker_index_.end() ? nullptr : &tracker_slots_[it->second];
+    const std::uint32_t idx = slot_index(id);
+    return idx == kNoSlot ? nullptr : &tracker_slots_[idx];
   }
   [[nodiscard]] Job& job_ref(JobId id);
   /// The single choke point for task-state writes: transitions the state
@@ -317,10 +315,12 @@ class JobTracker final : public InvariantAuditor {
   Scheduler* scheduler_ = nullptr;
   std::vector<std::function<void(const ClusterEvent&)>> event_hooks_;
 
-  /// Tracker hot state, index-addressed in registration order; the id ->
-  /// index map is a lookup table only and is never iterated.
+  /// Tracker hot state, index-addressed in registration order.
   std::vector<TrackerSlot> tracker_slots_;
-  std::unordered_map<TrackerId, std::uint32_t> tracker_index_;
+  /// Slot index by TrackerId value, kNoSlot where no tracker registered.
+  /// Tracker ids are dense node indices, so a plain array serves.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffU;
+  std::vector<std::uint32_t> tracker_index_;
   /// Jobs and tasks, indexed directly by their dense ids (ids are handed
   /// out sequentially from 0 and entries are never erased). A deque keeps
   /// references stable across growth.
@@ -353,9 +353,6 @@ class JobTracker final : public InvariantAuditor {
   /// Pending Kill commands per task; a racing task can owe kills to both
   /// its attempts at once.
   std::map<TaskId, std::vector<KillOrder>> must_kill_;
-  /// Reduces owed a MapsDone action (their job's maps all succeeded after
-  /// they launched with the shuffle barrier armed).
-  std::map<TaskId, MapsDonePending> maps_done_pending_;
   IdGenerator<JobId> job_ids_;
   IdGenerator<TaskId> task_ids_;
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "metrics/timeline.hpp"
 #include "sched/dummy.hpp"
 #include "workload/profiles.hpp"
@@ -184,6 +185,24 @@ TEST(ClusterIntegration, MultiNodeSpreadsTasks) {
   EXPECT_EQ(done.state, JobState::Succeeded);
   // With 4 nodes the job is ~4x faster than serial execution.
   EXPECT_LT(done.sojourn(), 100.0);
+}
+
+TEST(ClusterIntegration, TrackerLookupByIdRejectsUnknownAndDuplicateIds) {
+  ClusterConfig cfg = paper_cluster();
+  cfg.num_nodes = 3;
+  Cluster cluster(cfg);
+  JobTracker& jt = cluster.job_tracker();
+  EXPECT_EQ(jt.tracker_count(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    TaskTracker& tt = cluster.tracker(cluster.node(i));
+    EXPECT_EQ(jt.tracker(tt.id()), &tt);
+  }
+  EXPECT_EQ(jt.tracker(TrackerId{3}), nullptr);
+  EXPECT_EQ(jt.tracker(TrackerId{99}), nullptr);
+  EXPECT_EQ(jt.tracker(TrackerId{}), nullptr);
+  EXPECT_FALSE(jt.tracker_lost(TrackerId{99}));
+  EXPECT_THROW(jt.register_tracker(cluster.tracker(cluster.node(1))), SimError);
+  EXPECT_EQ(jt.tracker_count(), 3u);
 }
 
 TEST(ClusterIntegration, LocalityPinsTaskToPreferredNode) {
