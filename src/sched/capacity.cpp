@@ -10,10 +10,8 @@
 namespace osap {
 
 namespace {
-constexpr const char* kLog = "capacity";
-}
 
-namespace {
+constexpr const char* kLog = "capacity";
 
 /// Per-queue `preempt=` attributes are policy rules keyed on the donor
 /// (preempted) queue, appended to the scheduler's engine options.
@@ -21,7 +19,8 @@ namespace {
 policy::PolicyOptions queue_engine_options(const CapacityScheduler::Options& options) {
   policy::PolicyOptions popts = engine_options(options.primitive, options.policy);
   for (const CapacityScheduler::QueueConfig& q : options.queues) {
-    if (!q.preempt.empty()) popts.per_queue.emplace_back(q.name, policy::parse_decision(q.preempt));
+    if (q.preempt.empty()) continue;
+    popts.per_queue.emplace_back(q.name, policy::parse_decision(q.preempt));
   }
   return popts;
 }

@@ -92,12 +92,9 @@ std::vector<TaskId> DeadlineScheduler::assign(const TrackerStatus& status) {
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       if (*it == most_urgent) continue;
       std::vector<EvictionCandidate> candidates = collect_candidates(*jt_, *it);
-      candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                      [&refused](const EvictionCandidate& c) {
-                                        return std::find(refused.begin(), refused.end(),
-                                                         c.task) != refused.end();
-                                      }),
-                       candidates.end());
+      std::erase_if(candidates, [&refused](const EvictionCandidate& c) {
+        return std::find(refused.begin(), refused.end(), c.task) != refused.end();
+      });
       victim = pick_victim(options_.eviction, candidates);
       if (victim.valid()) break;
     }

@@ -13,12 +13,10 @@
 
 namespace osap {
 
-/// Every name make_scheduler accepts, as its error message lists them.
-inline constexpr const char* kSchedulerNames = "fifo|fair|hfsp|capacity|deadline";
-
-/// The named scheduler with its default options, preempting with
-/// `primitive` (or through `policy` when given). `queues` configures
-/// capacity only. Throws SimError for an unknown name.
+/// The named scheduler (fifo|fair|hfsp|capacity|deadline) with its
+/// default options, preempting with `primitive` (or through `policy`
+/// when given). `queues` configures capacity only. Throws SimError for
+/// an unknown name.
 std::unique_ptr<Scheduler> make_scheduler(
     const std::string& name, PreemptPrimitive primitive,
     const std::optional<policy::PolicyOptions>& policy = std::nullopt,
