@@ -308,8 +308,11 @@ void TaskTracker::do_suspend(TaskId id) {
 void TaskTracker::do_resume(TaskId id) {
   auto it = live_.find(id);
   if (it == live_.end()) return;
+  // SIGCONT can run the task's deferred last step at once: it may exit
+  // inside the call, and on_task_exit erases `it`. Read the helper first.
+  const Pid helper = it->second.helper;
   kernel_.signal(it->second.pid, Signal::Cont);
-  if (it->second.helper.valid()) kernel_.signal(it->second.helper, Signal::Cont);
+  if (helper.valid()) kernel_.signal(helper, Signal::Cont);
 }
 
 void TaskTracker::do_checkpoint_suspend(TaskId id) {
